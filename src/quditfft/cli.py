@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .constants import EPS_FIDELITY, EPS_PULSE, EPS_TRAP_RESIDUAL, EPS_UNITARY
 from .errors import ConfigurationError, ContractError
 from .gates import verify_fft_equivalence
 from .iontrap import TrapParams, verify_hybrid_gate
@@ -197,7 +198,7 @@ def _run_wavepacket(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
     else:
         rows.append({"unitarity_err": unitarity_err, "cycling_err": cycling_err})
 
-    passed = unitarity_err < 1e-12 and cycling_err < 1e-12
+    passed = unitarity_err < EPS_UNITARY and cycling_err < EPS_UNITARY
     return results, passed, rows
 
 
@@ -239,7 +240,7 @@ def _run_pulse(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
         "chosen_duration_ratio": cfg.pulse_duration_ratio,
         "chosen_leakage": chosen_leak,
     }
-    passed = two_level_err < 1e-8 and monotone
+    passed = two_level_err < EPS_PULSE and monotone
     return results, passed, rows
 
 
@@ -259,7 +260,10 @@ def _run_iontrap(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
         multiplicity=cfg.multiplicity,
         kepler_periods=cfg.kepler_periods,
     )
-    passed = report.fidelity > 1.0 - 1e-9 and report.trap_residual_max < 1e-10
+    passed = (
+        abs(1.0 - report.fidelity) <= EPS_FIDELITY
+        and report.trap_residual_max < EPS_TRAP_RESIDUAL
+    )
     rows = [
         {
             "branch": i,

@@ -12,6 +12,15 @@ EPS_UNITARY = 1e-12
 # post-integration states).
 EPS_STATE = 1e-9
 
+# Max deviation of an integrated pulse map from its closed-form oracle.
+EPS_PULSE = 1e-8
+
+# Max |1 - F| for the composed trap gate's process fidelity F.
+EPS_FIDELITY = 1e-9
+
+# Max population any single run may leave in the trap mode.
+EPS_TRAP_RESIDUAL = 1e-10
+
 # Default cap on the number of dense amplitudes a register may hold.
 DEFAULT_MAX_AMPS = 2**20
 

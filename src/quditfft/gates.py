@@ -80,9 +80,11 @@ def phase_gate_table(d: int, span: int) -> np.ndarray:
     """
     if span < 1:
         raise ValueError(f"phase gate span must be >= 1, got {span}")
-    denom = d ** (span + 1)
-    prods = np.outer(np.arange(d), np.arange(d)) % denom
-    return np.exp(2j * np.pi * prods / denom)
+    # Every product is at most (d-1)**2 < d**(span+1), so no reduction modulo
+    # the denominator is needed; dividing by a float keeps huge spans from
+    # overflowing int64.
+    prods = np.outer(np.arange(d), np.arange(d))
+    return np.exp(2j * np.pi * prods / float(d ** (span + 1)))
 
 
 def _axis_of(shape: RegisterShape, m: int, lead: int) -> int:

@@ -33,6 +33,12 @@ Conventions and idealizations:
     target packet slots: the dual-basis image of those phases).
   * The sideband resolves single band levels and the trap is hard-capped at
     one phonon; populations that would leave the cap raise ContractError.
+  * A state may carry leading batch axes, amps of shape (..., d+1, d+2, 2),
+    the same (..., N) idiom the gate layer uses. Every map acts on each state
+    of the stack independently, and every contract (phonon cap, norm) is
+    checked per state: the worst state decides, never the sum over the stack.
+    ``verify_hybrid_gate`` pushes all d*d hybrid basis states through the
+    schedule as one (d*d, d+1, d+2, 2) stack.
   * While an amplitude is parked in a ground state it stops accruing band
     phase. With the default two-Kepler-period run the park windows span whole
     Kepler periods, so plain free-evolution compensation is exact run by run;
@@ -41,6 +47,7 @@ Conventions and idealizations:
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -92,12 +99,20 @@ class TrapParams:
             )
 
 
+def _per_state(x: np.ndarray) -> float | np.ndarray:
+    """A float for an unbatched state, an array over the batch axes otherwise."""
+    return float(x) if x.ndim == 0 else x
+
+
 @dataclass(frozen=True)
 class JointIonState:
     """Joint amplitudes of control ion, target ion, and trap mode at time t.
 
-    ``amps`` has shape (d+1, d+2, 2) with the axis layout described at module
-    top. Norm is not enforced on construction.
+    ``amps`` has shape (..., d+1, d+2, 2): optional leading batch axes, then
+    the axis layout described at module top. All states of a stack share the
+    time ``t``. Norm is not enforced on construction. The population and norm
+    accessors return a float for an unbatched state and an array over the
+    batch axes otherwise.
     """
 
     d: int
@@ -109,8 +124,8 @@ class JointIonState:
             raise ValueError(f"need at least two levels, got d={self.d}")
         amps = np.asarray(self.amps, dtype=np.complex128)
         want = (self.d + 1, self.d + 2, 2)
-        if amps.shape != want:
-            raise ValueError(f"amps shape {amps.shape} does not match layout {want}")
+        if amps.shape[-3:] != want:
+            raise ValueError(f"amps shape {amps.shape} does not match layout (..., {want})")
         object.__setattr__(self, "amps", amps)
 
     @classmethod
@@ -124,29 +139,43 @@ class JointIonState:
         amps[level_digit, packet_slot, 0] = 1.0
         return cls(d, amps, t)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+    def norm(self) -> float | np.ndarray:
+        return _per_state(np.sqrt(np.sum(np.abs(self.amps) ** 2, axis=(-3, -2, -1))))
 
     def require_normalized(self, tol: float = EPS_STATE) -> None:
-        n = self.norm()
+        """Raise ContractError if any state of the stack is off unit norm."""
+        norms = np.asarray(self.norm())
+        worst = int(np.abs(norms - 1.0).argmax())
+        n = float(norms.flat[worst])
         if abs(n - 1.0) > tol:
             raise ContractError(f"joint state norm {n} deviates from 1 by more than {tol}")
 
-    def trap_excited_population(self) -> float:
-        return float(np.sum(np.abs(self.amps[:, :, 1]) ** 2))
+    def trap_excited_population(self) -> float | np.ndarray:
+        return _per_state(np.sum(np.abs(self.amps[..., 1]) ** 2, axis=(-2, -1)))
 
-    def aux_population(self) -> float:
-        return float(np.sum(np.abs(self.amps[:, self.d + 1, :]) ** 2))
+    def aux_population(self) -> float | np.ndarray:
+        return _per_state(np.sum(np.abs(self.amps[..., :, self.d + 1, :]) ** 2, axis=(-2, -1)))
 
-    def ground_populations(self) -> tuple[float, float]:
+    def ground_populations(self) -> tuple[float | np.ndarray, float | np.ndarray]:
         """(control ground, target ground) populations."""
-        control = float(np.sum(np.abs(self.amps[self.d, :, :]) ** 2))
-        target = float(np.sum(np.abs(self.amps[:, self.d, :]) ** 2))
-        return control, target
+        control = np.sum(np.abs(self.amps[..., self.d, :, :]) ** 2, axis=(-2, -1))
+        target = np.sum(np.abs(self.amps[..., :, self.d, :]) ** 2, axis=(-2, -1))
+        return _per_state(control), _per_state(target)
 
     def hybrid_block(self) -> np.ndarray:
         """The (level, slot) amplitudes with both ions in the band and trap empty."""
-        return self.amps[: self.d, : self.d, 0].copy()
+        return self.amps[..., : self.d, : self.d, 0].copy()
+
+
+@functools.lru_cache(maxsize=256)
+def _free_maps(spectrum: RydbergSpectrum, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (control level phases, target slot map) for free evolution by dt."""
+    phases = np.exp(-1j * spectrum.frequency_offsets() * dt)
+    u = wavepacket_basis_matrix(spectrum.d)
+    slot_map = u.conj().T @ (phases[:, None] * u)
+    phases.setflags(write=False)
+    slot_map.setflags(write=False)
+    return phases, slot_map
 
 
 def free_evolve_joint(state: JointIonState, spectrum: RydbergSpectrum, dt: float) -> JointIonState:
@@ -161,12 +190,11 @@ def free_evolve_joint(state: JointIonState, spectrum: RydbergSpectrum, dt: float
     if dt == 0.0:
         return state
     d = state.d
-    phases = np.exp(-1j * spectrum.frequency_offsets() * dt)
-    u = wavepacket_basis_matrix(d)
-    slot_map = u.conj().T @ (phases[:, None] * u)
+    phases, slot_map = _free_maps(spectrum, dt)
     amps = state.amps.copy()
-    amps[:d] *= phases[:, None, None]
-    amps[:, :d, :] = np.einsum("ab,lbt->lat", slot_map, amps[:, :d, :])
+    amps[..., :d, :, :] *= phases[:, None, None]
+    slots = np.tensordot(slot_map, amps[..., :, :d, :], axes=([1], [-2]))
+    amps[..., :, :d, :] = np.moveaxis(slots, 0, -2)
     return JointIonState(d, amps, state.t + dt)
 
 
@@ -175,6 +203,19 @@ def _swap_pair(a: np.ndarray, b: np.ndarray, area: float, sign: float) -> tuple[
     c = math.cos(area / 2.0)
     s = math.sin(area / 2.0)
     return c * a + sign * 1j * s * b, sign * 1j * s * a + c * b
+
+
+def _require_within_cap(stranded_amps: np.ndarray, where: str, pulse: str) -> None:
+    """ContractError if any single state holds more than EPS_STATE in ``where``.
+
+    ``stranded_amps`` is (..., n): the last axis runs over one state's
+    amplitudes in the doubly excited subspace, the rest over the stack.
+    """
+    worst = float(np.max(np.sum(np.abs(stranded_amps) ** 2, axis=-1)))
+    if worst > EPS_STATE:
+        raise ContractError(
+            f"population {worst:.3e} in {where} would leave the single-phonon cap under {pulse}"
+        )
 
 
 def apply_packet_swap(state: JointIonState, ion: str, area: float = math.pi) -> JointIonState:
@@ -191,14 +232,14 @@ def apply_packet_swap(state: JointIonState, ion: str, area: float = math.pi) -> 
     d = state.d
     amps = state.amps.copy()
     if ion == "m":
-        a, b = amps[:, 0, :], amps[:, d, :]
-        amps[:, 0, :], amps[:, d, :] = _swap_pair(a, b, area, +1.0)
+        a, b = amps[..., :, 0, :], amps[..., :, d, :]
+        amps[..., :, 0, :], amps[..., :, d, :] = _swap_pair(a, b, area, +1.0)
     else:
-        core = amps[:d].sum(axis=0) / math.sqrt(d)
-        g = amps[d]
+        core = amps[..., :d, :, :].sum(axis=-3) / math.sqrt(d)
+        g = amps[..., d, :, :]
         new_core, new_g = _swap_pair(core, g, area, +1.0)
-        amps[:d] += (new_core - core)[None, :, :] / math.sqrt(d)
-        amps[d] = new_g
+        amps[..., :d, :, :] += (new_core - core)[..., None, :, :] / math.sqrt(d)
+        amps[..., d, :, :] = new_g
     return JointIonState(d, amps, state.t)
 
 
@@ -208,20 +249,17 @@ def apply_sideband_pulse(state: JointIonState, level_digit: int, area: float = m
     The map is exp[-i (area/2) sigma_x]; a pi area exchanges the pair with a
     factor -i each way. Population in |level, 1 phonon> would be driven
     toward a second phonon, which the model cannot represent, so it raises
-    ContractError.
+    ContractError if any state of the stack holds more than EPS_STATE there.
     """
     d = state.d
     if not 0 <= level_digit < d:
         raise ValueError(f"level digit must be in [0, {d}), got {level_digit}")
-    stranded = float(np.sum(np.abs(state.amps[level_digit, :, 1]) ** 2))
-    if stranded > EPS_STATE:
-        raise ContractError(
-            f"population {stranded:.3e} in |level {level_digit}, 1 phonon> would leave "
-            "the single-phonon cap under a sideband pulse"
-        )
+    _require_within_cap(
+        state.amps[..., level_digit, :, 1], f"|level {level_digit}, 1 phonon>", "a sideband pulse"
+    )
     amps = state.amps.copy()
-    a, b = amps[level_digit, :, 0], amps[d, :, 1]
-    amps[level_digit, :, 0], amps[d, :, 1] = _swap_pair(a, b, area, -1.0)
+    a, b = amps[..., level_digit, :, 0], amps[..., d, :, 1]
+    amps[..., level_digit, :, 0], amps[..., d, :, 1] = _swap_pair(a, b, area, -1.0)
     return JointIonState(d, amps, state.t)
 
 
@@ -276,7 +314,7 @@ def apply_aux_pulse(
     (2 pi p / omega_ge). Populations return where they started and both
     states gain the phase from :func:`aux_cycle_phase`. Population in
     |aux excited, 1 phonon> would leave the phonon cap and raises
-    ContractError.
+    ContractError if any state of the stack holds more than EPS_STATE there.
     """
     if omega_ge <= 0:
         raise ValueError(f"omega_ge must be positive, got {omega_ge}")
@@ -287,12 +325,9 @@ def apply_aux_pulse(
     if multiplicity < 1 or multiplicity != int(multiplicity):
         raise ValueError(f"multiplicity must be a positive integer, got {multiplicity}")
     d = state.d
-    stranded = float(np.sum(np.abs(state.amps[:, d + 1, 1]) ** 2))
-    if stranded > EPS_STATE:
-        raise ContractError(
-            f"population {stranded:.3e} in |aux excited, 1 phonon> would leave the "
-            "single-phonon cap under the auxiliary drive"
-        )
+    _require_within_cap(
+        state.amps[..., :, d + 1, 1], "|aux excited, 1 phonon>", "the auxiliary drive"
+    )
     p = int(multiplicity)
     coupling = math.sqrt(max(omega_ge**2 - detuning**2, 0.0))
     duration = 2.0 * math.pi * p / omega_ge
@@ -309,10 +344,10 @@ def apply_aux_pulse(
         dtype=np.complex128,
     )
     u2 = trace_phase * rot
+    a, b = state.amps[..., :, d, 1], state.amps[..., :, d + 1, 0]
     amps = state.amps.copy()
-    pair = np.stack([amps[:, d, 1], amps[:, d + 1, 0]])
-    new = u2 @ pair
-    amps[:, d, 1], amps[:, d + 1, 0] = new[0], new[1]
+    amps[..., :, d, 1] = u2[0, 0] * a + u2[0, 1] * b
+    amps[..., :, d + 1, 0] = u2[1, 0] * a + u2[1, 1] * b
     return JointIonState(d, amps, state.t)
 
 
@@ -568,13 +603,14 @@ def verify_hybrid_gate(
 ) -> FidelityReport:
     """Simulate the composed d*d-run gate on every hybrid basis state.
 
-    Each basis state (control level j0, target packet k0) is pushed through
-    the full pulse schedule, free-evolution phases are removed by evolving
-    back through the total duration, and the resulting matrix is compared to
-    the diagonal target exp(i phi[j, k]). Reports the process fidelity
-    |Tr(target^dag M)|^2 / d^4 (global-phase invariant), per-branch phase
-    errors after removing the common phase, and the worst trap population
-    left behind by any single run.
+    All d*d basis states (control level j0, target packet k0) go through the
+    full pulse schedule together as one (d*d, d+1, d+2, 2) stack;
+    free-evolution phases are removed by evolving back through the total
+    duration, and the resulting matrix is compared to the diagonal target
+    exp(i phi[j, k]). Reports the process fidelity |Tr(target^dag M)|^2 / d^4
+    (global-phase invariant), per-branch phase errors after removing the
+    common phase, and the worst trap population left behind by any single
+    run on any single basis state.
     """
     if not 0 <= l < m < shape.q:
         raise ValueError(f"need qudit indices 0 <= l < m < q={shape.q}, got l={l}, m={m}")
@@ -584,29 +620,27 @@ def verify_hybrid_gate(
     phases = hybrid_phase_targets(d, m - l)
     target_diag = np.exp(1j * phases.ravel())
 
-    matrix = np.zeros((d * d, d * d), dtype=np.complex128)
+    # stack index j0*d + k0 holds basis state (j0, k0), i.e. column j0*d + k0
+    basis = [JointIonState.hybrid_basis(d, j0, k0).amps for j0 in range(d) for k0 in range(d)]
+    state = JointIonState(d, np.stack(basis))
     residual_max = 0.0
-    duration = 0.0
-    for j0 in range(d):
-        for k0 in range(d):
-            state = JointIonState.hybrid_basis(d, j0, k0)
-            for j in range(d):
-                for k in range(d):
-                    state = run_phase_gate(
-                        state,
-                        j,
-                        k,
-                        float(phases[j, k]),
-                        params,
-                        spectrum,
-                        multiplicity=multiplicity,
-                        kepler_periods=kepler_periods,
-                        t_ref=0.0,
-                    )
-                    residual_max = max(residual_max, state.trap_excited_population())
-            duration = state.t
-            state = free_evolve_joint(state, spectrum, -state.t)
-            matrix[:, j0 * d + k0] = state.hybrid_block().ravel()
+    for j in range(d):
+        for k in range(d):
+            state = run_phase_gate(
+                state,
+                j,
+                k,
+                float(phases[j, k]),
+                params,
+                spectrum,
+                multiplicity=multiplicity,
+                kepler_periods=kepler_periods,
+                t_ref=0.0,
+            )
+            residual_max = max(residual_max, float(state.trap_excited_population().max()))
+    duration = state.t
+    state = free_evolve_joint(state, spectrum, -state.t)
+    matrix = state.hybrid_block().reshape(d * d, d * d).T
 
     overlap = np.vdot(target_diag, np.diag(matrix))
     fidelity = float(abs(overlap) ** 2 / d**4)

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from quditfft import cli
 from quditfft.cli import MODES, RunConfig, build_parser, main, render_report
 
 
@@ -84,6 +86,26 @@ def test_failing_check_exits_one(tmp_path, capsys):
     report = json.loads(out)
     assert report["passed"] is False
     assert report["results"]["fidelity"] < 0.9
+
+
+def test_nonphysical_fidelity_above_one_fails(tmp_path, capsys, monkeypatch):
+    # the fidelity check is two-sided: F = 1.5 is as wrong as F = 0.5
+    real = cli.verify_hybrid_gate
+
+    def inflated(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), fidelity=1.5)
+
+    monkeypatch.setattr(cli, "verify_hybrid_gate", inflated)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "full", "d": 2, "n_bar": 2.0}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg))
+    assert code == 1
+    report = json.loads(out)
+    assert report["results"]["iontrap"]["results"]["fidelity"] == 1.5
+    assert report["results"]["iontrap"]["passed"] is False
+    for section in ("verify_qft", "wavepacket", "pulse"):
+        assert report["results"][section]["passed"] is True
+    assert report["passed"] is False
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

@@ -37,7 +37,7 @@ def test_fourier_gate_matrix_d2_is_hadamard():
     assert_allclose(fourier_gate_matrix(2), h, atol=1e-15)
 
 
-@pytest.mark.parametrize("d,span", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("d,span", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2), (2, 70)])
 def test_phase_gate_table_properties(d, span):
     table = phase_gate_table(d, span)
     assert_allclose(np.abs(table), 1.0, atol=1e-15)

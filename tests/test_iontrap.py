@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from quditfft import (
+    EPS_STATE,
     ContractError,
     JointIonState,
     PulseStep,
@@ -25,6 +26,31 @@ from quditfft import (
     solve_aux_detuning,
     verify_hybrid_gate,
 )
+
+
+def unbatched_hybrid_gate(d, spectrum, kepler_periods):
+    """Reference path: each hybrid basis state runs the d*d runs on its own.
+
+    Returns the process matrix (column j0*d + k0 is the image of basis state
+    (j0, k0)) and the worst trap population after any single run.
+    """
+    phases = hybrid_phase_targets(d, 1)
+    params = TrapParams()
+    matrix = np.zeros((d * d, d * d), dtype=np.complex128)
+    residual_max = 0.0
+    for j0 in range(d):
+        for k0 in range(d):
+            state = JointIonState.hybrid_basis(d, j0, k0)
+            for j in range(d):
+                for k in range(d):
+                    state = run_phase_gate(
+                        state, j, k, float(phases[j, k]), params, spectrum,
+                        kepler_periods=kepler_periods,
+                    )
+                    residual_max = max(residual_max, state.trap_excited_population())
+            state = free_evolve_joint(state, spectrum, -state.t)
+            matrix[:, j0 * d + k0] = state.hybrid_block().ravel()
+    return matrix, residual_max
 
 
 def uniform_hybrid_state(d):
@@ -361,3 +387,88 @@ def test_verify_hybrid_gate_validates_indices():
         verify_hybrid_gate(RegisterShape(d, 2), 0, 2, TrapParams(), spectrum)
     with pytest.raises(ValueError):
         verify_hybrid_gate(RegisterShape(4, 2), 0, 1, TrapParams(), spectrum)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "truncation,kepler_periods",
+    [("kepler", 2), ("kepler", 1), ("revival", 2)],
+)
+def test_batched_gate_matches_unbatched_reference(d, truncation, kepler_periods):
+    kepler = RydbergSpectrum(2, d)
+    spectrum = kepler
+    if truncation == "revival":
+        spectrum = RydbergSpectrum(2, d, t_rev=20.0 * kepler.t_kepler, truncation="revival")
+    matrix, residual_max = unbatched_hybrid_gate(d, spectrum, kepler_periods)
+    report = verify_hybrid_gate(
+        RegisterShape(d, 2), 0, 1, TrapParams(), spectrum, kepler_periods=kepler_periods
+    )
+    target = np.exp(1j * hybrid_phase_targets(d, 1).ravel())
+    overlap = np.vdot(target, np.diag(matrix))
+    assert_allclose(report.fidelity, abs(overlap) ** 2 / d**4, rtol=0, atol=1e-12)
+    assert_allclose(report.global_phase, np.angle(overlap), rtol=0, atol=1e-12)
+    assert_allclose(report.trap_residual_max, residual_max, rtol=0, atol=1e-12)
+    branch_err = np.abs(np.angle(np.diag(matrix) * np.conj(target) * np.exp(-1j * np.angle(overlap))))
+    assert_allclose(report.per_branch_phase_error, branch_err, rtol=0, atol=1e-12)
+    # the whole process matrix, not just its diagonal, through the public pieces
+    phases = hybrid_phase_targets(d, 1)
+    stack = JointIonState(
+        d, np.stack([JointIonState.hybrid_basis(d, j, k).amps for j in range(d) for k in range(d)])
+    )
+    for j in range(d):
+        for k in range(d):
+            stack = run_phase_gate(
+                stack, j, k, float(phases[j, k]), TrapParams(), spectrum,
+                kepler_periods=kepler_periods,
+            )
+    stack = free_evolve_joint(stack, spectrum, -stack.t)
+    assert_allclose(stack.hybrid_block().reshape(d * d, d * d).T, matrix, rtol=0, atol=1e-12)
+
+
+def test_batched_state_accessors_are_per_state():
+    d = 3
+    stack = JointIonState(
+        d, np.stack([JointIonState.hybrid_basis(d, j, 0).amps for j in range(d)])
+    )
+    assert_allclose(stack.norm(), np.ones(d))
+    assert stack.trap_excited_population().shape == (d,)
+    assert stack.hybrid_block().shape == (d, d, d)
+    stack.require_normalized()
+    bad = stack.amps.copy()
+    bad[1] *= 1.0 + 1e-6
+    with pytest.raises(ContractError):
+        JointIonState(d, bad).require_normalized()
+
+
+def _stack_with_stranded(d, stranded):
+    """Valid unit-norm states, state i holding population stranded[i] in
+    |level 1, 1 phonon> and in |aux excited, 1 phonon>, the rest in the band."""
+    amps = np.zeros((len(stranded), d + 1, d + 2, 2), dtype=np.complex128)
+    for i, p in enumerate(stranded):
+        amps[i, 1, 0, 1] = math.sqrt(p)
+        amps[i, 0, d + 1, 1] = math.sqrt(p)
+        amps[i, 0, 0, 0] = math.sqrt(1.0 - 2.0 * p)
+    return JointIonState(d, amps)
+
+
+def test_phonon_cap_contract_is_checked_per_state():
+    d = 3
+    stranded = np.zeros(8)
+    stranded[5] = 10.0 * EPS_STATE
+    stack = _stack_with_stranded(d, stranded)
+    stack.require_normalized()
+    with pytest.raises(ContractError):
+        apply_sideband_pulse(stack, 1)
+    with pytest.raises(ContractError):
+        apply_aux_pulse(stack, 0.0, 50.0)
+
+
+def test_phonon_cap_contract_does_not_sum_over_the_stack():
+    d = 3
+    n = 16
+    stranded = np.full(n, 0.5 * EPS_STATE)
+    assert stranded.sum() > EPS_STATE
+    stack = _stack_with_stranded(d, stranded)
+    stack.require_normalized()
+    apply_sideband_pulse(stack, 1)
+    apply_aux_pulse(stack, 0.0, 50.0)
