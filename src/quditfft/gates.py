@@ -15,6 +15,17 @@ gate on qudit 0 last.  The composition equals DFT_N once the output digit
 string is read in reverse order; the reversal is applied as an index
 permutation on readout, never as extra gates.
 
+The sequence is the specification; ``apply_sequence`` and
+``verify_fft_equivalence`` run its compiled plan, which is mixed-radix
+Cooley-Tukey. The plan has one stage per qudit l, taken q-1 ... 0. Each stage
+multiplies the register in place by a twiddle diagonal, the product of the
+phase gates on (l, m') for every m' > l, built by broadcasting their small
+tables. It then makes one GEMM with the Fourier kernel that contracts the
+leading digit a_l and appends b_l as the last axis. After q stages the
+register is back in natural digit order, with no transpose or copy. The
+single-gate functions ``apply_fourier_gate`` and ``apply_phase_gate`` stay as
+the reference the plan is tested against.
+
 Sign convention: the DFT kernel here is exp(+i 2π a c / N) / sqrt(N), the
 conjugate of the engineering FFT convention, so the classical cross-check
 route is the orthonormal inverse FFT.
@@ -23,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -33,8 +43,11 @@ from .register import QuditState, RegisterShape, dit_reversal_permutation
 # verification samples a seeded subset of basis inputs.
 EXHAUSTIVE_LIMIT = 4096
 
-# Cap on scratch size (complex entries) for batched matrix-free products.
-_BATCH_BUDGET = 2**22
+# Cap on scratch size (complex entries) for batched matrix-free products. At
+# 4 MiB per array the plan's stages over a basis-column stack ran faster than
+# at 64 MiB (exhaustive N=4096, d=2: 3.2 s vs 4.6 s) and peak memory fell;
+# every column and kernel row is computed the same way at either size.
+_BATCH_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -87,52 +100,23 @@ def phase_gate_table(d: int, span: int) -> np.ndarray:
     return np.exp(2j * np.pi * prods / float(d ** (span + 1)))
 
 
-def _axis_of(shape: RegisterShape, m: int, lead: int) -> int:
-    # Reshaped tensors put the most significant digit on the first register
-    # axis, so qudit m (weight d**m) sits at axis q-1-m after ``lead`` batch axes.
-    return lead + shape.q - 1 - m
-
-
-def _apply_fourier_raw(arr: np.ndarray, shape: RegisterShape, m: int) -> np.ndarray:
-    """Apply the single-qudit Fourier kernel to qudit m. ``arr`` is (..., N)."""
-    lead = arr.shape[:-1]
-    t = arr.reshape(lead + (shape.d,) * shape.q)
-    axis = _axis_of(shape, m, len(lead))
-    t = np.moveaxis(np.tensordot(fourier_gate_matrix(shape.d), t, axes=([1], [axis])), 0, axis)
-    return np.ascontiguousarray(t).reshape(lead + (shape.n_amps,))
-
-
-def _apply_phase_raw(arr: np.ndarray, shape: RegisterShape, l: int, m: int) -> np.ndarray:
-    """Apply the two-qudit diagonal phase gate to qudits l < m. ``arr`` is (..., N)."""
-    lead = arr.shape[:-1]
-    d = shape.d
-    t = arr.reshape(lead + (d,) * shape.q)
-    ax_l = _axis_of(shape, l, len(lead))
-    ax_m = _axis_of(shape, m, len(lead))  # ax_m < ax_l since l < m
-    table = phase_gate_table(d, m - l)
-    bshape = [1] * t.ndim
-    bshape[ax_m] = d
-    bshape[ax_l] = d
-    # table is symmetric, so the (x_m, x_l) axis order needs no transpose
-    t = t * table.reshape(bshape)
-    return t.reshape(lead + (shape.n_amps,))
-
-
-def _apply_gate_raw(arr: np.ndarray, shape: RegisterShape, gate: GateDescriptor) -> np.ndarray:
-    if gate.kind == "fourier":
-        return _apply_fourier_raw(arr, shape, gate.m)
-    return _apply_phase_raw(arr, shape, gate.l, gate.m)
-
-
 def _check_qudit_index(shape: RegisterShape, m: int) -> None:
     if not 0 <= m < shape.q:
         raise ValueError(f"qudit index {m} out of range for q={shape.q}")
 
 
+def _register_tensor(state: QuditState) -> np.ndarray:
+    # The most significant digit comes first, so qudit m (weight d**m) sits on
+    # axis q-1-m.
+    return state.amps.reshape((state.shape.d,) * state.shape.q)
+
+
 def apply_fourier_gate(state: QuditState, m: int) -> QuditState:
     """Fourier-transform qudit m: |a_m> -> sum_b exp(+i 2π a_m b / d) |b> / sqrt(d)."""
     _check_qudit_index(state.shape, m)
-    return QuditState(state.shape, _apply_fourier_raw(state.amps, state.shape, m))
+    axis = state.shape.q - 1 - m
+    t = np.tensordot(fourier_gate_matrix(state.shape.d), _register_tensor(state), axes=([1], [axis]))
+    return QuditState(state.shape, np.moveaxis(t, 0, axis).reshape(-1))
 
 
 def apply_phase_gate(state: QuditState, l: int, m: int) -> QuditState:
@@ -140,7 +124,13 @@ def apply_phase_gate(state: QuditState, l: int, m: int) -> QuditState:
     _check_qudit_index(state.shape, m)
     if l is None or not 0 <= l < m:
         raise ValueError(f"phase gate needs 0 <= l < m, got l={l}, m={m}")
-    return QuditState(state.shape, _apply_phase_raw(state.amps, state.shape, l, m))
+    d, q = state.shape.d, state.shape.q
+    bshape = [1] * q
+    bshape[q - 1 - m] = d
+    bshape[q - 1 - l] = d
+    # the table is symmetric, so the (x_m, x_l) axis order needs no transpose
+    t = _register_tensor(state) * phase_gate_table(d, m - l).reshape(bshape)
+    return QuditState(state.shape, t.reshape(-1))
 
 
 def build_fft_sequence(shape: RegisterShape) -> GateSequence:
@@ -162,14 +152,105 @@ def build_fft_sequence(shape: RegisterShape) -> GateSequence:
     return GateSequence(shape, tuple(gates))
 
 
+@dataclass(frozen=True)
+class SequencePlan:
+    """A gate sequence compiled into one twiddle multiply and one GEMM per qudit.
+
+    Stage s acts on qudit l = q-1-s. ``twiddles[s]`` holds one (d, d) table
+    per already-transformed qudit m' = q-1 ... l+1, the product of the
+    sequence's phase gates on (l, m'); it is empty when no phase gate acts on
+    qudit l. ``kernel`` is the d-point Fourier kernel.
+    """
+
+    shape: RegisterShape
+    kernel: np.ndarray
+    twiddles: tuple[tuple[np.ndarray, ...], ...]
+
+    def run(self, arr: np.ndarray) -> np.ndarray:
+        """Apply the sequence to an (N,) vector or an (N, B) column stack.
+
+        Returns an (N,) vector or a (B, N) row stack in natural digit order;
+        ``arr`` itself is never written.
+        """
+        d = self.shape.d
+        t = arr
+        for tables in self.twiddles:
+            # Layout here: (a_l, ..., a_0, batch, b_{q-1}, ..., b_{l+1}).
+            if tables:
+                # Only GEMM outputs reach this multiply: the first stage (qudit
+                # q-1) never has phase gates, so the caller's array is safe.
+                tw = _twiddle(tables)
+                t = t.reshape(d, -1, tw.shape[1])
+                t *= tw[:, None, :]
+                del tw  # freed before the GEMM allocates its output
+            # Contract the leading digit a_l and append b_l as the last axis
+            # (the kernel is symmetric, so F[b, a] = kernel[a, b]).
+            t = t.reshape(d, -1).T @ self.kernel
+        return t.reshape(arr.shape[1:] + (self.shape.n_amps,))
+
+
+def _twiddle(tables: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Broadcast product tw[x_l, (b_{q-1}, ..., b_{l+1})] of one stage's tables."""
+    # Prepend the more significant digits, so the long axis stays innermost.
+    tw = tables[-1]
+    for table in tables[-2::-1]:
+        tw = (table[:, :, None] * tw[:, None, :]).reshape(len(tw), -1)
+    return tw
+
+
+def compile_sequence(sequence: GateSequence) -> SequencePlan:
+    """Fold a gate sequence into its :class:`SequencePlan`.
+
+    Diagonal phase gates commute with each other and with Fourier gates on
+    other qudits, so every phase gate on (l, m') can move to just before the
+    Fourier gate on l, as long as it fires after the one on m' (which it
+    reads in the transformed basis) and before the one on l. Raises
+    ``ValueError`` naming the first gate that breaks this or that puts the
+    Fourier gates out of the order q-1 ... 0, each once.
+    """
+    d, q = sequence.shape.d, sequence.shape.q
+    factors: dict[tuple[int, int], np.ndarray] = {}
+    next_fourier = q - 1  # Fourier gates above this qudit have fired
+    for gate in sequence.gates:
+        if gate.m >= q:
+            raise ValueError(f"cannot compile {gate}: qudit {gate.m} out of range for q={q}")
+        if gate.kind == "fourier":
+            if gate.m != next_fourier:
+                raise ValueError(
+                    f"cannot compile {gate}: Fourier gates must act on qudits "
+                    f"q-1 ... 0 in that order, each once (expected qudit {next_fourier})"
+                )
+            next_fourier -= 1
+        elif not gate.l <= next_fourier < gate.m:
+            raise ValueError(
+                f"cannot compile {gate}: a phase gate must fire after the Fourier "
+                f"gate on qudit {gate.m} and before the one on qudit {gate.l}"
+            )
+        else:
+            key = (gate.l, gate.m)
+            table = phase_gate_table(d, gate.m - gate.l)
+            factors[key] = factors[key] * table if key in factors else table
+    if next_fourier >= 0:
+        raise ValueError(
+            f"cannot compile: the sequence lacks {GateDescriptor('fourier', next_fourier)}"
+        )
+    ones = np.ones((d, d), dtype=np.complex128)
+    twiddles = []
+    for l in range(q - 1, -1, -1):
+        tables = tuple(factors.get((l, mp), ones) for mp in range(q - 1, l, -1))
+        twiddles.append(tables if any(t is not ones for t in tables) else ())
+    return SequencePlan(sequence.shape, fourier_gate_matrix(d), tuple(twiddles))
+
+
 def apply_sequence(state: QuditState, sequence: GateSequence) -> QuditState:
-    """Apply a gate sequence in order (first descriptor first)."""
+    """Apply a gate sequence in order (first descriptor first).
+
+    Runs the sequence's compiled :class:`SequencePlan`; raises ``ValueError``
+    for a sequence the plan cannot represent.
+    """
     if sequence.shape != state.shape:
         raise ValueError("sequence and state have different register shapes")
-    amps = state.amps
-    for gate in sequence.gates:
-        amps = _apply_gate_raw(amps, state.shape, gate)
-    return QuditState(state.shape, amps)
+    return QuditState(state.shape, compile_sequence(sequence).run(state.amps))
 
 
 def accumulated_phase_turns(shape: RegisterShape, a: int, b: int) -> Fraction:
@@ -243,22 +324,20 @@ class EquivalenceReport:
         }
 
 
-def _compare_columns(
-    shape: RegisterShape, gates: Iterable[GateDescriptor], inputs: np.ndarray
-) -> tuple[float, float, float]:
+def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, float, float]:
     """Max entry/modulus/phase error of reversed-readout sequence columns vs kernel."""
-    n = shape.n_amps
-    perm = dit_reversal_permutation(shape)
-    cols = np.arange(n)
+    n = plan.shape.n_amps
+    # Output column c holds DFT entry perm[c] (perm is an involution), so the
+    # kernel is evaluated at the permuted columns instead of gathering got.
+    cols = dit_reversal_permutation(plan.shape)
     max_entry = max_mod = max_phase = 0.0
     chunk = max(1, min(len(inputs), _BATCH_BUDGET // n))
     for start in range(0, len(inputs), chunk):
         batch = inputs[start : start + chunk]
-        arr = np.zeros((len(batch), n), dtype=np.complex128)
-        arr[np.arange(len(batch)), batch] = 1.0
-        for gate in gates:
-            arr = _apply_gate_raw(arr, shape, gate)
-        got = arr[:, perm]
+        arr = np.zeros((n, len(batch)), dtype=np.complex128)
+        arr[batch, np.arange(len(batch))] = 1.0
+        got = plan.run(arr)
+        del arr  # free the basis stack before the kernel is built
         want = np.exp(2j * np.pi * ((batch[:, None] * cols[None, :]) % n) / n) / np.sqrt(n)
         diff = got - want
         max_entry = max(max_entry, float(np.abs(diff).max()))
@@ -279,9 +358,8 @@ def verify_fft_equivalence(
     """Check that digit-reversed readout of the gate sequence equals DFT_N.
 
     Basis inputs are enumerated exhaustively up to ``exhaustive_limit``
-    amplitudes and sampled (seeded, >= ``n_samples`` inputs) above it. If the
-    as-written gate order fails, the reversed order is tried and the report
-    says so in its ``order`` field; the sequence is never silently reordered.
+    amplitudes and sampled (seeded, >= ``n_samples`` inputs) above it. The
+    sequence is checked once, in the order written; a wrong sequence fails.
     """
     n = shape.n_amps
     if n <= exhaustive_limit:
@@ -295,23 +373,17 @@ def verify_fft_equivalence(
         exhaustive = False
 
     sequence = build_fft_sequence(shape)
-    report: EquivalenceReport | None = None
-    for order, gates in (("as-written", sequence.gates), ("reversed", sequence.gates[::-1])):
-        max_entry, max_mod, max_phase = _compare_columns(shape, gates, inputs)
-        report = EquivalenceReport(
-            d=shape.d,
-            q=shape.q,
-            gate_count=len(sequence.gates),
-            n_inputs=len(inputs),
-            exhaustive=exhaustive,
-            order=order,
-            max_entry_err=max_entry,
-            max_mod_err=max_mod,
-            max_phase_err=max_phase,
-            tol=tol,
-            passed=max_entry < tol,
-        )
-        if report.passed:
-            break
-    assert report is not None
-    return report
+    max_entry, max_mod, max_phase = _compare_columns(compile_sequence(sequence), inputs)
+    return EquivalenceReport(
+        d=shape.d,
+        q=shape.q,
+        gate_count=len(sequence.gates),
+        n_inputs=len(inputs),
+        exhaustive=exhaustive,
+        order="as-written",
+        max_entry_err=max_entry,
+        max_mod_err=max_mod,
+        max_phase_err=max_phase,
+        tol=tol,
+        passed=max_entry < tol,
+    )

@@ -48,11 +48,16 @@ class RegisterShape:
         if self.q < 1:
             raise ValueError(f"register needs at least one qudit, got q={self.q}")
         cap = self.max_amps if self.max_amps is not None else _amplitude_cap()
-        if self.d**self.q > cap:
-            raise ValueError(
-                f"register of {self.d}**{self.q} = {self.d ** self.q} amplitudes "
-                f"exceeds the cap of {cap} (raise {MAX_AMPS_ENV} to override)"
-            )
+        # Multiply up to the cap (at most log2(cap) + 1 steps, since d >= 2)
+        # instead of forming d**q, which for huge q takes unbounded time.
+        n = 1
+        for _ in range(self.q):
+            n *= self.d
+            if n > cap:
+                raise ValueError(
+                    f"register of {self.d}**{self.q} amplitudes exceeds the cap "
+                    f"of {cap} (raise {MAX_AMPS_ENV} to override)"
+                )
 
     @property
     def n_amps(self) -> int:
@@ -112,13 +117,8 @@ def dit_reverse(s: DitString) -> DitString:
 
 def dit_reversal_permutation(shape: RegisterShape) -> np.ndarray:
     """Index permutation P with P[c] = value of the digit-reversed string of c."""
-    d, q, n = shape.d, shape.q, shape.n_amps
-    idx = np.arange(n)
-    perm = np.zeros(n, dtype=np.int64)
-    for m in range(q):
-        digit = (idx // d**m) % d
-        perm += digit * d ** (q - 1 - m)
-    return perm
+    d, q = shape.d, shape.q
+    return np.arange(shape.n_amps).reshape((d,) * q).transpose(range(q - 1, -1, -1)).ravel()
 
 
 @dataclass

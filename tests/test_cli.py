@@ -136,6 +136,11 @@ def test_register_cap_env_var_guards_cli(tmp_path, capsys, monkeypatch):
     assert "QUDITFFT_MAX_AMPS" in err
     code, out, _ = run_cli(capsys, "--d", "2", "--q", "4")
     assert code == 0
+    # a huge q hits the cap message, not Python's int-to-string limit
+    monkeypatch.delenv("QUDITFFT_MAX_AMPS")
+    code, _, err = run_cli(capsys, "--q", "100000000")
+    assert code == 2
+    assert "QUDITFFT_MAX_AMPS" in err
 
 
 def test_out_file_and_csv(tmp_path, capsys):

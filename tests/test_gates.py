@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from quditfft import (
     phase_gate_table,
     verify_fft_equivalence,
 )
+from quditfft import gates as gates_module
+from quditfft.gates import GateSequence, compile_sequence
 from quditfft.register import QuditState
 
 
@@ -125,7 +128,20 @@ def test_apply_phase_gate_is_diagonal_in_digit_products():
         apply_phase_gate(state, 2, 2)
 
 
-@pytest.mark.parametrize("d,q", [(2, 3), (3, 2), (4, 2), (5, 1), (2, 6)])
+def _fold(state, sequence):
+    """Reference: apply the sequence gate by gate with the single-gate spec."""
+    for g in sequence.gates:
+        if g.kind == "fourier":
+            state = apply_fourier_gate(state, g.m)
+        else:
+            state = apply_phase_gate(state, g.l, g.m)
+    return state
+
+
+@pytest.mark.parametrize(
+    "d,q",
+    [(2, 3), (3, 2), (4, 2), (5, 1), (2, 6), (2, 1), (3, 4), (4, 3), (16, 2), (32, 2)],
+)
 def test_sequence_with_reversed_readout_equals_reference_dft(d, q):
     shape = RegisterShape(d, q)
     seq = build_fft_sequence(shape)
@@ -133,8 +149,59 @@ def test_sequence_with_reversed_readout_equals_reference_dft(d, q):
     rng = np.random.default_rng(3)
     amps = rng.normal(size=shape.n_amps) + 1j * rng.normal(size=shape.n_amps)
     state = QuditState(shape, amps)
-    got = apply_sequence(state, seq).amps[perm]
-    assert_allclose(got, direct_dft(state).amps, atol=1e-12)
+    out = apply_sequence(state, seq).amps
+    assert_allclose(out, _fold(state, seq).amps, rtol=0, atol=1e-12)
+    assert_allclose(out[perm], direct_dft(state).amps, rtol=0, atol=1e-12)
+
+
+def test_plan_column_stack_matches_single_vectors():
+    shape = RegisterShape(3, 4)
+    plan = compile_sequence(build_fft_sequence(shape))
+    rng = np.random.default_rng(8)
+    cols = rng.normal(size=(shape.n_amps, 5)) + 1j * rng.normal(size=(shape.n_amps, 5))
+    rows = plan.run(cols)
+    assert rows.shape == (5, shape.n_amps)
+    for b in range(5):
+        assert_allclose(rows[b], plan.run(cols[:, b].copy()), rtol=0, atol=1e-13)
+
+
+def test_plan_matches_fold_for_edited_sequences():
+    # a repeated phase gate multiplies into its twiddle; a missing one leaves
+    # a factor of one
+    shape = RegisterShape(3, 4)
+    gates = build_fft_sequence(shape).gates
+    phases = [i for i, g in enumerate(gates) if g.kind == "phase"]
+    edited = list(gates)
+    edited.insert(phases[0], gates[phases[0]])
+    del edited[phases[-1] + 1]
+    seq = GateSequence(shape, tuple(edited))
+    rng = np.random.default_rng(10)
+    state = QuditState(shape, rng.normal(size=shape.n_amps) + 1j * rng.normal(size=shape.n_amps))
+    assert_allclose(apply_sequence(state, seq).amps, _fold(state, seq).amps, rtol=0, atol=1e-12)
+
+
+def test_apply_sequence_leaves_input_untouched():
+    shape = RegisterShape(2, 6)
+    rng = np.random.default_rng(9)
+    amps = rng.normal(size=shape.n_amps) + 1j * rng.normal(size=shape.n_amps)
+    state = QuditState(shape, amps.copy())
+    apply_sequence(state, build_fft_sequence(shape))
+    np.testing.assert_array_equal(state.amps, amps)
+
+
+def test_compile_rejects_sequences_the_plan_cannot_represent():
+    shape = RegisterShape(3, 3)
+    gates = build_fft_sequence(shape).gates
+    # the Fourier gate on qudit 0 comes first once the order is reversed
+    with pytest.raises(ValueError, match=re.escape(repr(GateDescriptor("fourier", 0)))):
+        compile_sequence(GateSequence(shape, gates[::-1]))
+    # phase gate (l=0, m=2) moved in front of the Fourier gate on qudit 2
+    early = GateDescriptor("phase", 2, 0)
+    moved = (early,) + tuple(g for g in gates if g != early)
+    with pytest.raises(ValueError, match=re.escape(repr(early))):
+        compile_sequence(GateSequence(shape, moved))
+    with pytest.raises(ValueError, match="lacks"):
+        compile_sequence(GateSequence(shape, gates[:-1]))
 
 
 def test_direct_dft_methods_agree():
@@ -189,3 +256,26 @@ def test_verify_fft_equivalence_respects_custom_limit():
     assert not report.exhaustive
     assert report.n_inputs == 8
     assert report.passed
+
+
+def test_verify_fft_equivalence_reports_a_wrong_sequence_once(monkeypatch):
+    build = gates_module.build_fft_sequence
+
+    def drop_one_phase_gate(shape):
+        seq = build(shape)
+        first_phase = next(i for i, g in enumerate(seq.gates) if g.kind == "phase")
+        return GateSequence(shape, seq.gates[:first_phase] + seq.gates[first_phase + 1 :])
+
+    calls = []
+    compare = gates_module._compare_columns
+
+    def counting_compare(*args):
+        calls.append(args)
+        return compare(*args)
+
+    monkeypatch.setattr(gates_module, "build_fft_sequence", drop_one_phase_gate)
+    monkeypatch.setattr(gates_module, "_compare_columns", counting_compare)
+    report = verify_fft_equivalence(RegisterShape(2, 4))
+    assert report.passed is False
+    assert report.order == "as-written"
+    assert len(calls) == 1

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -55,7 +57,7 @@ def test_dit_reverse_is_involution():
     assert dit_reverse(s).digits == (2, 2, 0, 1)
 
 
-@pytest.mark.parametrize("d,q", [(2, 4), (3, 3), (4, 2), (5, 2)])
+@pytest.mark.parametrize("d,q", [(2, 4), (3, 3), (4, 2), (5, 2), (2, 10), (3, 1)])
 def test_dit_reversal_permutation_matches_stringwise_reverse(d, q):
     shape = RegisterShape(d, q)
     perm = dit_reversal_permutation(shape)
@@ -83,6 +85,15 @@ def test_amplitude_cap_default_and_override():
     RegisterShape(2, 21, max_amps=2**21)
     with pytest.raises(ValueError):
         RegisterShape(2, 4, max_amps=8)
+
+
+def test_amplitude_cap_rejects_huge_q_fast():
+    # forming 3**(10**8) would take far longer than this bound
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=MAX_AMPS_ENV) as excinfo:
+        RegisterShape(3, 10**8)
+    assert time.perf_counter() - start < 1.0
+    assert len(str(excinfo.value)) < 200
 
 
 def test_amplitude_cap_env_var(monkeypatch):
