@@ -83,6 +83,10 @@ class RunConfig:
     omega_e: float = 100.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.d < 2:

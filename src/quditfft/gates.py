@@ -28,7 +28,10 @@ the reference the plan is tested against.
 
 Sign convention: the DFT kernel here is exp(+i 2π a c / N) / sqrt(N), the
 conjugate of the engineering FFT convention, so the classical cross-check
-route is the orthonormal inverse FFT.
+route is the orthonormal inverse FFT. The d-point Fourier gate and the
+N-point reference that ``direct_dft`` and ``verify_fft_equivalence`` use both
+come from :func:`quditfft.register.dft_kernel`, which gathers every entry
+from one table of the n roots of unity at (a·c) mod n.
 """
 from __future__ import annotations
 
@@ -37,7 +40,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .register import QuditState, RegisterShape, dit_reversal_permutation
+from .register import (
+    QuditState,
+    RegisterShape,
+    dft_exponents,
+    dft_kernel,
+    dft_table,
+    dit_reversal_permutation,
+)
 
 # Exhaustive basis-vector verification up to this many amplitudes; above it,
 # verification samples a seeded subset of basis inputs.
@@ -77,13 +87,9 @@ class GateSequence:
 
 
 def fourier_gate_matrix(d: int) -> np.ndarray:
-    """d x d Fourier kernel F[b, a] = exp(+i 2π a b / d) / sqrt(d).
-
-    Angles are reduced to exact rationals of a turn before exponentiation so
-    entries like -1 and ±i are accurate to machine precision.
-    """
-    prods = np.outer(np.arange(d), np.arange(d)) % d
-    return np.exp(2j * np.pi * prods / d) / np.sqrt(d)
+    """d x d Fourier kernel F[b, a] = exp(+i 2π a b / d) / sqrt(d), from :func:`dft_kernel`."""
+    digits = np.arange(d)
+    return dft_kernel(d, digits, digits)
 
 
 def phase_gate_table(d: int, span: int) -> np.ndarray:
@@ -256,18 +262,21 @@ def apply_sequence(state: QuditState, sequence: GateSequence) -> QuditState:
 def accumulated_phase_turns(shape: RegisterShape, a: int, b: int) -> Fraction:
     """Exact phase (in turns, mod 1) the sequence puts on amplitude <b|S|a>.
 
-    Sums the per-gate rational phases a_m b_m / d + a_l b_m / d**(m-l+1) using
-    integer arithmetic; used to prove the telescoping identity symbolically.
+    Sums the per-gate rational phases a_m b_m / d + a_l b_m / d**(m-l+1) as
+    one integer numerator over their common denominator d**q; used to prove
+    the telescoping identity symbolically.
     """
     d, q = shape.d, shape.q
-    a_dig = [(a // d**m) % d for m in range(q)]
-    b_dig = [(b // d**m) % d for m in range(q)]
-    total = Fraction(0)
+    power = [d**k for k in range(q + 1)]
+    a_dig = [(a // power[m]) % d for m in range(q)]
+    b_dig = [(b // power[m]) % d for m in range(q)]
+    # Phase gate (l, m) adds a_l b_m / d**(m-l+1) = a_l b_m d**(q-1-m+l) / d**q;
+    # the Fourier gate on m is the l = m term.
+    total = 0
     for m in range(q):
-        total += Fraction(a_dig[m] * b_dig[m], d)
-        for l in range(m):
-            total += Fraction(a_dig[l] * b_dig[m], d ** (m - l + 1))
-    return total % 1
+        if b_dig[m]:
+            total += b_dig[m] * sum(a_dig[l] * power[q - 1 - m + l] for l in range(m + 1))
+    return Fraction(total % power[q], power[q])
 
 
 def direct_dft(state: QuditState, method: str = "sum") -> QuditState:
@@ -287,9 +296,8 @@ def direct_dft(state: QuditState, method: str = "sum") -> QuditState:
     cols = np.arange(n)
     for start in range(0, n, chunk):
         rows = np.arange(start, min(start + chunk, n))
-        kernel = np.exp(2j * np.pi * ((rows[:, None] * cols[None, :]) % n) / n)
-        out[start : start + len(rows)] = kernel @ state.amps
-    return QuditState(state.shape, out / np.sqrt(n))
+        out[start : start + len(rows)] = dft_kernel(n, rows, cols) @ state.amps
+    return QuditState(state.shape, out)
 
 
 @dataclass
@@ -330,6 +338,10 @@ def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, flo
     # Output column c holds DFT entry perm[c] (perm is an involution), so the
     # kernel is evaluated at the permuted columns instead of gathering got.
     cols = dit_reversal_permutation(plan.shape)
+    # Kernel entries and their moduli are gathered from one n-entry table, the
+    # same values dft_kernel would give, without a per-chunk exponential.
+    table = dft_table(n)
+    moduli = np.abs(table)
     max_entry = max_mod = max_phase = 0.0
     chunk = max(1, min(len(inputs), _BATCH_BUDGET // n))
     for start in range(0, len(inputs), chunk):
@@ -338,10 +350,11 @@ def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, flo
         arr[batch, np.arange(len(batch))] = 1.0
         got = plan.run(arr)
         del arr  # free the basis stack before the kernel is built
-        want = np.exp(2j * np.pi * ((batch[:, None] * cols[None, :]) % n) / n) / np.sqrt(n)
+        idx = dft_exponents(n, batch, cols)
+        want = table[idx]
         diff = got - want
         max_entry = max(max_entry, float(np.abs(diff).max()))
-        max_mod = max(max_mod, float(np.abs(np.abs(got) - np.abs(want)).max()))
+        max_mod = max(max_mod, float(np.abs(np.abs(got) - moduli[idx]).max()))
         rel_phase = np.angle(got * np.conj(want))
         max_phase = max(max_phase, float(np.abs(rel_phase).max()))
     return max_entry, max_mod, max_phase

@@ -63,6 +63,10 @@ class PulseProfile:
     center_detuning: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("duration", "area", "center_detuning"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"pulse {name} must be finite, got {value}")
         if self.duration <= 0:
             raise ValueError(f"pulse duration must be positive, got {self.duration}")
         if self.shape not in PULSE_SHAPES:

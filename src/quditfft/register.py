@@ -115,6 +115,34 @@ def dit_reverse(s: DitString) -> DitString:
     return DitString(tuple(reversed(s.digits)), s.d)
 
 
+def dft_table(n: int, sign: int = 1) -> np.ndarray:
+    """The n distinct entries exp(sign·i 2π k / n) / sqrt(n) of the n-point DFT kernel.
+
+    The angle is an exact rational k/n of a turn before exponentiation, so
+    entries like -1 and ±i are accurate to machine precision.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"kernel sign must be +1 or -1, got {sign}")
+    return np.exp(sign * 2j * np.pi * np.arange(n) / n) / np.sqrt(n)
+
+
+def dft_exponents(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Index (r·c) mod n into :func:`dft_table` of kernel entry (r, c), for r in rows, c in cols."""
+    idx = np.asarray(rows)[:, None] * np.asarray(cols)[None, :]
+    # in place: a fresh result array of this size costs more than the remainder
+    return np.remainder(idx, n, out=idx)
+
+
+def dft_kernel(n: int, rows: np.ndarray, cols: np.ndarray, sign: int = 1) -> np.ndarray:
+    """Block K[r, c] = exp(sign·i 2π r c / n) / sqrt(n) of the n-point DFT kernel.
+
+    Every entry is gathered from :func:`dft_table` at :func:`dft_exponents`,
+    so a block costs n complex exponentials however many rows it has. The
+    package builds every DFT kernel here.
+    """
+    return dft_table(n, sign)[dft_exponents(n, rows, cols)]
+
+
 def dit_reversal_permutation(shape: RegisterShape) -> np.ndarray:
     """Index permutation P with P[c] = value of the digit-reversed string of c."""
     d, q = shape.d, shape.q

@@ -12,7 +12,9 @@ The dual basis consists of radially localized wave packets
 
 so expanding an unchanged physical state in the τ basis applies the d-point
 Fourier kernel to its energy amplitudes: the single-qudit Fourier gate is a
-relabelling, not an evolution. Packet k reaches the inner turning point after
+relabelling, not an evolution. The packet matrix is
+:func:`quditfft.register.dft_kernel` with sign -1, the conjugate of the gate
+layer's kernel. Packet k reaches the inner turning point after
 k/d of a Kepler period.
 
 Free evolution uses the Taylor expansion of the level frequencies around n̄,
@@ -31,6 +33,7 @@ import numpy as np
 
 from .constants import EPS_STATE
 from .errors import ContractError
+from .register import dft_kernel
 
 ENERGY = "energy"
 WAVEPACKET = "wavepacket"
@@ -119,9 +122,13 @@ class RydbergSpectrum:
 
 
 def wavepacket_basis_matrix(d: int) -> np.ndarray:
-    """Unitary U with U[j, k] = exp(-i 2π j k / d)/√d: column k is packet k in level amplitudes."""
-    prods = np.outer(np.arange(d), np.arange(d)) % d
-    return np.exp(-2j * np.pi * prods / d) / np.sqrt(d)
+    """Unitary U with U[j, k] = exp(-i 2π j k / d)/√d: column k is packet k in level amplitudes.
+
+    This is :func:`dft_kernel` with sign -1, the conjugate of the gate layer's
+    Fourier kernel.
+    """
+    digits = np.arange(d)
+    return dft_kernel(d, digits, digits, sign=-1)
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,25 @@ def test_bad_config_values_exit_two(tmp_path, capsys):
     assert run_cli(capsys, "--config", str(cfg))[0] == 2
 
 
+@pytest.mark.parametrize("key", ["pulse_area", "tolerance", "omega_ge", "n_bar", "t_rev_ratio", "d"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"mode": "full", "{key}": {value}}}')
+    code, out, err = run_cli(capsys, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_pulse_duration_flag_exits_two(capsys, value):
+    code, out, err = run_cli(capsys, "--mode", "pulse", "--pulse-duration", value)
+    assert code == 2
+    assert out == ""
+    assert "pulse_duration_ratio must be finite" in err
+
+
 def test_register_cap_env_var_guards_cli(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QUDITFFT_MAX_AMPS", "16")
     code, _, err = run_cli(capsys, "--d", "2", "--q", "5")

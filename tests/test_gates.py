@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -38,6 +39,13 @@ def test_fourier_gate_matrix_is_unitary(d):
 def test_fourier_gate_matrix_d2_is_hadamard():
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     assert_allclose(fourier_gate_matrix(2), h, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_fourier_gate_matrix_is_bit_equal_to_per_entry_formula(d):
+    # reference: the kernel evaluated entry by entry, which the table gather must reproduce bit for bit
+    prods = np.outer(np.arange(d), np.arange(d)) % d
+    np.testing.assert_array_equal(fourier_gate_matrix(d), np.exp(2j * np.pi * prods / d) / np.sqrt(d))
 
 
 @pytest.mark.parametrize("d,span", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2), (2, 70)])
@@ -224,6 +232,66 @@ def test_accumulated_phase_telescopes_exactly(d, q):
         for b in range(n):
             c = dit_reverse(encode_dits(b, shape)).value()
             assert accumulated_phase_turns(shape, a, b) == Fraction(a * c % n, n)
+
+
+def _phase_turns_fold(shape, a, b):
+    """Reference: the per-gate rational phases summed one Fraction at a time."""
+    d, q = shape.d, shape.q
+    a_dig = [(a // d**m) % d for m in range(q)]
+    b_dig = [(b // d**m) % d for m in range(q)]
+    total = Fraction(0)
+    for m in range(q):
+        total += Fraction(a_dig[m] * b_dig[m], d)
+        for l in range(m):
+            total += Fraction(a_dig[l] * b_dig[m], d ** (m - l + 1))
+    return total % 1
+
+
+@pytest.mark.parametrize("d,q", [(2, 20), (3, 7), (16, 3), (2, 70)])
+def test_accumulated_phase_matches_per_gate_fraction_fold(d, q):
+    shape = RegisterShape(d, q, max_amps=d**q)
+    rng = random.Random(d * 1000 + q)
+    pairs = [(rng.randrange(d**q), rng.randrange(d**q)) for _ in range(64)]
+    pairs += [(0, 0), (d**q - 1, d**q - 1)]
+    for a, b in pairs:
+        got = accumulated_phase_turns(shape, a, b)
+        want = _phase_turns_fold(shape, a, b)
+        assert got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def _per_entry_exp_errors(shape, inputs):
+    """Reference for _compare_columns: the kernel evaluated entry by entry with exp."""
+    n = shape.n_amps
+    plan = compile_sequence(build_fft_sequence(shape))
+    cols = dit_reversal_permutation(shape)
+    max_entry = max_mod = max_phase = 0.0
+    chunk = max(1, min(len(inputs), gates_module._BATCH_BUDGET // n))
+    for start in range(0, len(inputs), chunk):
+        batch = inputs[start : start + chunk]
+        arr = np.zeros((n, len(batch)), dtype=np.complex128)
+        arr[batch, np.arange(len(batch))] = 1.0
+        got = plan.run(arr)
+        want = np.exp(2j * np.pi * ((batch[:, None] * cols[None, :]) % n) / n) / np.sqrt(n)
+        max_entry = max(max_entry, float(np.abs(got - want).max()))
+        max_mod = max(max_mod, float(np.abs(np.abs(got) - np.abs(want)).max()))
+        max_phase = max(max_phase, float(np.abs(np.angle(got * np.conj(want))).max()))
+    return max_entry, max_mod, max_phase
+
+
+@pytest.mark.parametrize("d,q,seed", [(2, 10, None), (3, 5, None), (4, 7, 17), (32, 2, None)])
+def test_verify_report_is_bit_equal_to_per_entry_exp_comparison(d, q, seed):
+    shape = RegisterShape(d, q)
+    n_samples = 64
+    report = verify_fft_equivalence(shape, seed=seed, n_samples=n_samples)
+    if seed is None:
+        inputs = np.arange(shape.n_amps)
+    else:
+        inputs = np.random.default_rng(seed).choice(shape.n_amps, size=n_samples, replace=False)
+    assert report.exhaustive == (seed is None)
+    assert (report.max_entry_err, report.max_mod_err, report.max_phase_err) == _per_entry_exp_errors(
+        shape, inputs
+    )
 
 
 def test_verify_fft_equivalence_exhaustive_small():

@@ -27,6 +27,11 @@ def test_pulse_profile_validation():
         PulseProfile(0.0, math.pi)
     with pytest.raises(ValueError):
         PulseProfile(1.0, math.pi, shape="triangle")
+    for field in ("duration", "area", "center_detuning"):
+        for value in (math.inf, -math.inf, math.nan):
+            kwargs = {"duration": 1.0, "area": math.pi, "center_detuning": 0.0, field: value}
+            with pytest.raises(ValueError, match=f"pulse {field} must be finite"):
+                PulseProfile(**kwargs)
 
 
 @pytest.mark.parametrize("shape", ["square", "gaussian"])

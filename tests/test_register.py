@@ -16,6 +16,7 @@ from quditfft import (
     measure_register,
 )
 from quditfft.constants import DEFAULT_MAX_AMPS, MAX_AMPS_ENV
+from quditfft.register import dft_kernel, dft_table
 
 
 @pytest.mark.parametrize("d,q", [(2, 1), (2, 5), (3, 2), (5, 3), (7, 2)])
@@ -142,3 +143,28 @@ def test_measure_register_is_deterministic_per_seed():
     assert first == measure_register(state, rng_seed=42)
     # a deterministic state always measures to its own index
     assert measure_register(basis_state(7, shape), rng_seed=0).value() == 7
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 32, 2187])
+def test_dft_kernel_matches_numpy_fft(n):
+    # numpy's transforms are an independent oracle for the sign: the +1 kernel
+    # is the orthonormal inverse FFT, the -1 kernel the forward one. Row blocks
+    # keep n=2187 small in memory.
+    idx = np.arange(n)
+    for start in range(0, n, 256):
+        rows = idx[start : start + 256]
+        delta = np.zeros((len(rows), n))
+        delta[np.arange(len(rows)), rows] = 1.0
+        assert_allclose(dft_kernel(n, rows, idx), np.fft.ifft(delta, norm="ortho"), rtol=0, atol=1e-15)
+        assert_allclose(dft_kernel(n, rows, idx, sign=-1), np.fft.fft(delta, norm="ortho"), rtol=0, atol=1e-15)
+
+
+def test_dft_kernel_blocks_gather_from_one_table():
+    n = 12
+    rows, cols = np.array([0, 5, 11, 7]), np.array([3, 0, 10])
+    block = dft_kernel(n, rows, cols, sign=-1)
+    assert block.shape == (4, 3)
+    np.testing.assert_array_equal(block, dft_table(n, -1)[(rows[:, None] * cols) % n])
+    assert_allclose(dft_table(n, -1), dft_table(n).conj(), rtol=0, atol=1e-16)
+    with pytest.raises(ValueError):
+        dft_table(n, 2)

@@ -86,6 +86,13 @@ def test_wavepacket_basis_matrix_unitary(d):
     assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
 
 
+@pytest.mark.parametrize("d", range(2, 33))
+def test_wavepacket_basis_matrix_is_bit_equal_to_per_entry_formula(d):
+    # reference: the matrix evaluated entry by entry, which the table gather must reproduce bit for bit
+    prods = np.outer(np.arange(d), np.arange(d)) % d
+    np.testing.assert_array_equal(wavepacket_basis_matrix(d), np.exp(-2j * np.pi * prods / d) / np.sqrt(d))
+
+
 def test_packet_zero_is_uniform_level_superposition():
     d = 5
     u = wavepacket_basis_matrix(d)
