@@ -21,6 +21,10 @@ EPS_FIDELITY = 1e-9
 # Max population any single run may leave in the trap mode.
 EPS_TRAP_RESIDUAL = 1e-10
 
+# Cap on the fixed-step RK4 steps of one pulse (about 20 s at d=8); longer
+# gaussian pulses are refused instead of hanging.
+MAX_RK4_STEPS = 10**6
+
 # Default cap on the number of dense amplitudes a register may hold.
 DEFAULT_MAX_AMPS = 2**20
 

@@ -16,6 +16,11 @@ integrator here quantifies that leakage against the frozen two-level model,
 with the pulse centered on the packet's core passage the way the protocol
 schedules it.
 
+Both models share one propagator. A square pulse is exact: its generator is
+constant in the frame rotating at the carrier detuning, so one eigh gives the
+map. A gaussian pulse, or a call given ``n_steps``, runs fixed-step RK4
+(capped at MAX_RK4_STEPS), which is also the exact path's test oracle.
+
 Couplings are stated per level. The collective Rabi frequency of the core
 packet is (1/sqrt(d)) * sum_j omega_gj, the coherent enhancement of driving
 d levels at once; individual level weights enter the full model as
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPS_STATE
+from .constants import EPS_STATE, MAX_RK4_STEPS
 from .errors import ConfigurationError, ContractError
 from .wavepacket import (
     WAVEPACKET,
@@ -219,55 +224,59 @@ def _rk4(deriv, y0: np.ndarray, duration: float, n_steps: int) -> np.ndarray:
     return y
 
 
-def _phase_cycles(pulse: PulseProfile, extra_freqs: np.ndarray | None = None) -> float:
+def _phase_cycles(pulse: PulseProfile, offsets: np.ndarray) -> float:
     """Rough count of oscillation cycles the integrator must resolve."""
-    freqs = [abs(pulse.center_detuning)]
-    if extra_freqs is not None and extra_freqs.size:
-        freqs.append(float(np.max(np.abs(extra_freqs))))
-    cycles = pulse.duration * max(freqs) / (2.0 * math.pi) + abs(pulse.area) / (2.0 * math.pi)
+    fastest = max(abs(pulse.center_detuning), float(np.max(np.abs(offsets))))
+    cycles = pulse.duration * fastest / (2.0 * math.pi) + abs(pulse.area) / (2.0 * math.pi)
     return max(cycles, 1.0)
 
 
-def _resolve_steps(pulse: PulseProfile, n_steps: int | None, extra_freqs: np.ndarray | None = None) -> int:
-    cycles = _phase_cycles(pulse, extra_freqs)
+def _resolve_steps(pulse: PulseProfile, n_steps: int | None, offsets: np.ndarray) -> int:
+    cycles = _phase_cycles(pulse, offsets)
     if n_steps is None:
-        return max(MIN_STEPS, math.ceil(STEPS_PER_CYCLE * cycles))
-    if n_steps < REJECT_STEPS_PER_CYCLE * cycles:
+        n_steps = max(MIN_STEPS, math.ceil(STEPS_PER_CYCLE * cycles))
+    elif n_steps < REJECT_STEPS_PER_CYCLE * cycles:
         raise ConfigurationError(
             f"n_steps={n_steps} resolves fewer than {REJECT_STEPS_PER_CYCLE} steps per phase "
             f"cycle ({cycles:.1f} cycles in this pulse); results would be untrustworthy"
         )
+    if n_steps > MAX_RK4_STEPS:
+        raise ConfigurationError(
+            f"pulse would take {n_steps} RK4 steps, more than MAX_RK4_STEPS={MAX_RK4_STEPS}; "
+            f"a square envelope without n_steps is exact and takes none"
+        )
     return n_steps
 
 
-def _integrate_pair(
-    b_g: complex,
-    b_core: complex,
-    pulse: PulseProfile,
-    n_steps: int | None = None,
-) -> tuple[complex, complex]:
-    """RK4 propagation of the driven (ground, core) pair through one pulse.
+def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
+               pulse: PulseProfile, n_steps: int | None) -> np.ndarray:
+    """Map (levels..., ground) through one pulse by the equations of integrate_full.
 
-    Rotating-frame equations at carrier detuning D:
-
-        d b_g / dt   = (i/2) kappa(t) exp(-i D t) b_core
-        d b_core /dt = (i/2) kappa(t) exp(+i D t) b_g
+    Square with no explicit step count: in the frame rotating at D the
+    generator H = diag(dw + D, 0) - (kappa/2)(w e_g^T + e_g w^T) is constant
+    and real, so one eigh H = V diag(L) V^T gives the map V exp(-i L T) V^T;
+    the level rows then return to the lab frame with exp(+i D T). Anything
+    else runs RK4.
     """
-    steps = _resolve_steps(pulse, n_steps)
-    detuning = pulse.center_detuning
+    d, detuning = offsets.shape[0], pulse.center_detuning
+    if pulse.shape == "square" and n_steps is None:
+        h = np.diag(np.append(offsets + detuning, 0.0))
+        h[:d, d] = h[d, :d] = -0.5 * (pulse.area / pulse.duration) * weights
+        vals, vecs = np.linalg.eigh(h)
+        y = vecs @ (np.exp(-1j * vals * pulse.duration) * (vecs.T @ y0))
+        y[:d] *= np.exp(1j * detuning * pulse.duration)
+        return y
+    steps = _resolve_steps(pulse, n_steps, offsets)
 
     def deriv(t: float, y: np.ndarray) -> np.ndarray:
+        band, b_g = y[:d], y[d]
         k = pulse.rabi(t)
-        return np.array(
-            [
-                0.5j * k * np.exp(-1j * detuning * t) * y[1],
-                0.5j * k * np.exp(+1j * detuning * t) * y[0],
-            ],
-            dtype=np.complex128,
-        )
+        out = np.empty_like(y)
+        out[:d] = -1j * offsets * band + 0.5j * k * weights * np.exp(+1j * detuning * t) * b_g
+        out[d] = 0.5j * k * np.exp(-1j * detuning * t) * np.dot(weights, band)
+        return out
 
-    y = _rk4(deriv, np.array([b_g, b_core], dtype=np.complex128), pulse.duration, steps)
-    return complex(y[0]), complex(y[1])
+    return _rk4(deriv, y0, pulse.duration, steps)
 
 
 def integrate_two_level(
@@ -281,15 +290,17 @@ def integrate_two_level(
     The drive product f(t) * collective equals area * envelope(t), so the
     couplings fix the physical scale while the pulse area fixes the rotation
     angle; choosing duration = area / collective makes the square drive sit
-    at the collective Rabi frequency exactly. Fixed-step RK4 with the default
-    step count resolving STEPS_PER_CYCLE steps per phase cycle (floor
-    MIN_STEPS); explicit step counts below REJECT_STEPS_PER_CYCLE per cycle
-    raise ConfigurationError. On resonance the result matches
-    :func:`resonant_pulse_map` to integrator accuracy.
+    at the collective Rabi frequency exactly. The one-level case of
+    :func:`integrate_full` (zero offset, weight 1): a square pulse is exact; a
+    gaussian pulse or an explicit ``n_steps`` runs fixed-step RK4 at
+    STEPS_PER_CYCLE steps per phase cycle (floor MIN_STEPS), and explicit
+    counts below REJECT_STEPS_PER_CYCLE per cycle raise ConfigurationError.
+    On resonance the result matches :func:`resonant_pulse_map`.
     """
     if couplings.d != state.d:
         raise ValueError(f"couplings have d={couplings.d} but state has d={state.d}")
-    g, core = _integrate_pair(state.b_g, state.wp.amps[0], pulse, n_steps=n_steps)
+    y0 = np.array([state.wp.amps[0], state.b_g], dtype=np.complex128)
+    core, g = _propagate(y0, np.zeros(1), np.ones(1), pulse, n_steps)
     amps = state.wp.amps.copy()
     amps[0] = core
     return AtomState(g, AmplitudeVector(WAVEPACKET, amps, state.wp.t0))
@@ -309,31 +320,20 @@ def integrate_full(
         d e_j / dt = -i dw_j e_j + (i/2) kappa(t) w_j exp(+i D t) b_g
         d b_g / dt =               (i/2) kappa(t) exp(-i D t) sum_j w_j e_j
 
-    with dw_j the spectrum's frequency offsets and w_j the level weights.
-    Reduces to :func:`integrate_two_level` when the offsets vanish and the
-    couplings are uniform.
+    with dw_j the spectrum's frequency offsets and w_j the level weights. A
+    square pulse is exact (one eigh of the constant generator); a gaussian
+    pulse or an explicit ``n_steps`` runs fixed-step RK4. Reduces to
+    :func:`integrate_two_level` when the offsets vanish and the couplings are
+    uniform.
     """
     if couplings.d != spectrum.d:
         raise ValueError(f"couplings have d={couplings.d} but spectrum has d={spectrum.d}")
     if state.d != spectrum.d:
         raise ValueError(f"state has d={state.d} but spectrum has d={spectrum.d}")
-    offsets = spectrum.frequency_offsets()
-    steps = _resolve_steps(pulse, n_steps, extra_freqs=offsets)
-    weights = couplings.level_weights()
-    detuning = pulse.center_detuning
     d = spectrum.d
     u = wavepacket_basis_matrix(d)
-
-    def deriv(t: float, y: np.ndarray) -> np.ndarray:
-        band, b_g = y[:d], y[d]
-        k = pulse.rabi(t)
-        out = np.empty_like(y)
-        out[:d] = -1j * offsets * band + 0.5j * k * weights * np.exp(+1j * detuning * t) * b_g
-        out[d] = 0.5j * k * np.exp(-1j * detuning * t) * np.dot(weights, band)
-        return out
-
     y0 = np.concatenate([u @ state.wp.amps, [state.b_g]])
-    y = _rk4(deriv, y0, pulse.duration, steps)
+    y = _propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), pulse, n_steps)
     return AtomState(y[d], AmplitudeVector(WAVEPACKET, u.conj().T @ y[:d], state.wp.t0))
 
 

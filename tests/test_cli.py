@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -203,6 +204,24 @@ def test_pulse_duration_flag_feeds_chosen_leakage(capsys):
     report = json.loads(out)
     assert report["config"]["pulse_duration_ratio"] == 0.02
     assert report["results"]["chosen_leakage"] < 0.01
+
+
+def test_long_pulse_exits_at_once(tmp_path, capsys):
+    # a square pulse is exact at any length; a gaussian one needs RK4 steps
+    # beyond MAX_RK4_STEPS and is refused instead of running for hours
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--mode", "pulse", "--pulse-duration", "1e6")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["config"]["pulse_duration_ratio"] == 1e6
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulse_shape": "gaussian"}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--mode", "pulse", "--pulse-duration", "1e6", "--config", str(cfg))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "MAX_RK4_STEPS" in err
 
 
 def test_render_report_is_sorted_and_newline_terminated():

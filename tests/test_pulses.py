@@ -19,7 +19,9 @@ from quditfft import (
     selectivity_error,
     selectivity_sweep,
 )
-from quditfft.wavepacket import ENERGY, WAVEPACKET
+from quditfft.constants import EPS_UNITARY, MAX_RK4_STEPS
+from quditfft.pulses import PULSE_SHAPES, _resolve_steps
+from quditfft.wavepacket import ENERGY, KEPLER, REVIVAL, WAVEPACKET
 
 
 def test_pulse_profile_validation():
@@ -271,3 +273,77 @@ def test_selectivity_sweep_matches_pointwise_errors():
                 leak, selectivity_error(spectrum, PulseProfile(float(t), math.pi), coup)
             )
     assert np.all(np.diff(sweep) < 0)
+
+
+def _random_atom_state(rng, d):
+    y = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+    y /= np.linalg.norm(y)
+    return AtomState(y[d], AmplitudeVector(WAVEPACKET, y[:d]))
+
+
+def _as_vector(state):
+    return np.append(state.wp.amps, state.b_g)
+
+
+@pytest.mark.parametrize("detuning", [0.0, 0.03, -0.05])
+@pytest.mark.parametrize("truncation", [KEPLER, REVIVAL])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_exact_square_pulse_matches_rk4_oracle(d, truncation, detuning):
+    # the exact eigh map of a square pi pulse at the CLI's default duration
+    # against RK4 at 4x its default steps
+    rng = np.random.default_rng([d, len(truncation), int(1000 * abs(detuning)), detuning < 0])
+    spectrum = RydbergSpectrum(5, d, t_rev=20.0 * 2.0 * math.pi * 5**3, truncation=truncation)
+    coup = RabiCouplings(rng.uniform(0.5, 1.5, size=d))
+    pulse = PulseProfile(0.05 * spectrum.t_kepler, math.pi, center_detuning=detuning)
+    state = _random_atom_state(rng, d)
+    fine = 4 * _resolve_steps(pulse, None, spectrum.frequency_offsets())
+    full = integrate_full(state, pulse, coup, spectrum)
+    oracle = integrate_full(state, pulse, coup, spectrum, n_steps=fine)
+    assert_allclose(_as_vector(full), _as_vector(oracle), rtol=0, atol=1e-12)
+    fine_two = 4 * _resolve_steps(pulse, None, np.zeros(1))
+    two = integrate_two_level(state, pulse, coup)
+    oracle_two = integrate_two_level(state, pulse, coup, n_steps=fine_two)
+    assert_allclose(_as_vector(two), _as_vector(oracle_two), rtol=0, atol=1e-12)
+    # the map on (slots..., ground) is unitary
+    columns = []
+    for k in range(d + 1):
+        e = np.eye(d + 1, dtype=np.complex128)[k]
+        basis = AtomState(e[d], AmplitudeVector(WAVEPACKET, e[:d]))
+        columns.append(_as_vector(integrate_full(basis, pulse, coup, spectrum)))
+    m = np.array(columns).T
+    assert np.abs(m.conj().T @ m - np.eye(d + 1)).max() < EPS_UNITARY
+
+
+def test_gaussian_default_is_rk4_at_the_default_step_count():
+    d = 4
+    rng = np.random.default_rng(7)
+    spectrum = RydbergSpectrum(4, d)
+    coup = RabiCouplings(rng.uniform(0.5, 1.5, size=d))
+    pulse = PulseProfile(spectrum.t_kepler / 8, math.pi, shape="gaussian", center_detuning=0.03)
+    state = _random_atom_state(rng, d)
+    steps = _resolve_steps(pulse, None, spectrum.frequency_offsets())
+    full = integrate_full(state, pulse, coup, spectrum)
+    explicit = integrate_full(state, pulse, coup, spectrum, n_steps=steps)
+    assert np.array_equal(_as_vector(full), _as_vector(explicit))
+    two = integrate_two_level(state, pulse, coup)
+    explicit_two = integrate_two_level(state, pulse, coup, n_steps=_resolve_steps(pulse, None, np.zeros(1)))
+    assert np.array_equal(_as_vector(two), _as_vector(explicit_two))
+
+
+def test_rk4_step_cap_is_enforced():
+    d = 3
+    spectrum = RydbergSpectrum(4, d)
+    coup = RabiCouplings.uniform(d)
+    state = AtomState.ground(d)
+    for shape in PULSE_SHAPES:
+        pulse = PulseProfile(1.0, math.pi, shape=shape)
+        with pytest.raises(ConfigurationError, match="MAX_RK4_STEPS"):
+            integrate_full(state, pulse, coup, spectrum, n_steps=MAX_RK4_STEPS + 1)
+        with pytest.raises(ConfigurationError, match="MAX_RK4_STEPS"):
+            integrate_two_level(state, pulse, coup, n_steps=MAX_RK4_STEPS + 1)
+    # a long gaussian pulse resolves past the cap; the same square pulse is exact
+    long = 1e6 * spectrum.t_kepler
+    with pytest.raises(ConfigurationError, match="MAX_RK4_STEPS"):
+        integrate_full(state, PulseProfile(long, math.pi, shape="gaussian"), coup, spectrum)
+    out = integrate_full(state, PulseProfile(long, math.pi), coup, spectrum)
+    assert_allclose(out.norm(), 1.0, atol=EPS_UNITARY)
