@@ -55,6 +55,9 @@ MODES = ("verify-qft", "wavepacket", "pulse", "iontrap", "full")
 
 REPORT_SCHEMA = 1
 
+# Python types a config value may take, by the annotation of its RunConfig field.
+_FIELD_KINDS = {"int": int, "float": (int, float), "float | None": (int, float, type(None))}
+
 
 @dataclass
 class RunConfig:
@@ -87,12 +90,21 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
+            kind = _FIELD_KINDS.get(f.type)
+            # bool is an int subclass, but true/false is no count or number
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                noun = "an integer" if f.type == "int" else "a number"
+                raise ConfigurationError(f"{f.name} must be {noun}, got {json.dumps(value)}")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.d < 2:
             raise ConfigurationError(f"d must be at least 2, got {self.d}")
         if self.q < 1:
             raise ConfigurationError(f"q must be at least 1, got {self.q}")
+        if self.n_samples < 1:
+            raise ConfigurationError(f"n_samples must be at least 1, got {self.n_samples}")
+        if self.tolerance <= 0:
+            raise ConfigurationError(f"tolerance must be positive, got {self.tolerance}")
         if self.truncation not in TRUNCATIONS:
             raise ConfigurationError(
                 f"truncation must be one of {TRUNCATIONS}, got {self.truncation!r}"

@@ -145,8 +145,22 @@ def dft_kernel(n: int, rows: np.ndarray, cols: np.ndarray, sign: int = 1) -> np.
 
 def dit_reversal_permutation(shape: RegisterShape) -> np.ndarray:
     """Index permutation P with P[c] = value of the digit-reversed string of c."""
-    d, q = shape.d, shape.q
-    return np.arange(shape.n_amps).reshape((d,) * q).transpose(range(q - 1, -1, -1)).ravel()
+    # Reversing the j+1 digits of c = a·d**j + r gives a + d·(r reversed over
+    # j digits), so block a of P_{j+1} is d·P_j + a. The array holds P_j
+    # scaled by d**(q-j), the weight its digits end up with: block 0 is then
+    # already in place, and block a is the scaled P_j plus a·d**(q-j-1). One
+    # int64 array and one add per block, no transpose of a q-axis view.
+    d = shape.d
+    perm = np.empty(shape.n_amps, dtype=np.int64)
+    weight = shape.n_amps // d
+    np.multiply(np.arange(d), weight, out=perm[:d])
+    n = d
+    while n < shape.n_amps:
+        weight //= d
+        for a in range(1, d):
+            np.add(perm[:n], a * weight, out=perm[a * n : (a + 1) * n])
+        n *= d
+    return perm
 
 
 @dataclass

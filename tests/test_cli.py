@@ -141,6 +141,20 @@ def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, ke
     assert f"{key} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("d", 2.5), ("q", "3"), ("n_samples", 2.5), ("seed", 1.5), ("d", True), ("multiplicity", None),
+     ("tolerance", "1e-10"), ("n_samples", 0), ("n_samples", -3), ("tolerance", -1.0), ("tolerance", 0)],
+)
+def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {key} must be")
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_pulse_duration_flag_exits_two(capsys, value):
     code, out, err = run_cli(capsys, "--mode", "pulse", "--pulse-duration", value)

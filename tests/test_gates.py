@@ -162,30 +162,86 @@ def test_sequence_with_reversed_readout_equals_reference_dft(d, q):
     assert_allclose(out[perm], direct_dft(state).amps, rtol=0, atol=1e-12)
 
 
-def test_plan_column_stack_matches_single_vectors():
-    shape = RegisterShape(3, 4)
+@pytest.mark.parametrize(
+    "d,q,sizes",
+    [(2, 5, (4, 1)), (2, 7, (4, 3)), (2, 17, (4, 4, 4, 4, 1)), (3, 3, (2, 1)), (3, 5, (2, 2, 1)),
+     (4, 3, (2, 1)), (5, 3, (1, 1, 1)), (16, 2, (1, 1))],
+)
+def test_grouped_plan_matches_fold_and_numpy_ifft(d, q, sizes):
+    # where q is not a multiple of the group size the last stage is a smaller
+    # group; (5, 3) and (16, 2) run one qudit per stage
+    shape = RegisterShape(d, q)
+    seq = build_fft_sequence(shape)
+    plan = compile_sequence(seq)
+    assert tuple(len(k) for k in plan.kernels) == tuple(d**k for k in sizes)
+    rng = np.random.default_rng(d * 100 + q)
+    state = QuditState(shape, rng.normal(size=shape.n_amps) + 1j * rng.normal(size=shape.n_amps))
+    out = apply_sequence(state, seq).amps
+    assert_allclose(out, _fold(state, seq).amps, rtol=0, atol=1e-12)
+    perm = dit_reversal_permutation(shape)
+    assert_allclose(out[perm], np.fft.ifft(state.amps, norm="ortho"), rtol=0, atol=1e-12)
+
+
+def test_plan_for_five_or_more_levels_is_one_qudit_per_stage():
+    # d**2 > 16, so every stage holds one qudit: the kernel is the Fourier
+    # gate itself and each table is the product of the phase gates on (l, m')
+    shape = RegisterShape(5, 4)
     plan = compile_sequence(build_fft_sequence(shape))
-    rng = np.random.default_rng(8)
-    cols = rng.normal(size=(shape.n_amps, 5)) + 1j * rng.normal(size=(shape.n_amps, 5))
-    rows = plan.run(cols)
-    assert rows.shape == (5, shape.n_amps)
-    for b in range(5):
-        assert_allclose(rows[b], plan.run(cols[:, b].copy()), rtol=0, atol=1e-13)
+    for kernel in plan.kernels:
+        np.testing.assert_array_equal(kernel, fourier_gate_matrix(5))
+    for s, tables in enumerate(plan.twiddles):
+        l = shape.q - 1 - s
+        assert len(tables) == s
+        for table, mp in zip(tables, range(shape.q - 1, l, -1)):
+            np.testing.assert_array_equal(table, phase_gate_table(5, mp - l))
+
+
+def test_plan_column_stack_matches_single_vectors():
+    # (3, 4) is two full two-qudit stages; (2, 7) ends in a three-qudit stage
+    for d, q in [(3, 4), (2, 7)]:
+        shape = RegisterShape(d, q)
+        plan = compile_sequence(build_fft_sequence(shape))
+        rng = np.random.default_rng(8)
+        cols = rng.normal(size=(shape.n_amps, 5)) + 1j * rng.normal(size=(shape.n_amps, 5))
+        rows = plan.run(cols)
+        assert rows.shape == (5, shape.n_amps)
+        for b in range(5):
+            assert_allclose(rows[b], plan.run(cols[:, b].copy()), rtol=0, atol=1e-13)
+
+
+def _edited(gates, duplicate, drop):
+    """The gate list with ``duplicate`` fired twice in a row and ``drop`` left out."""
+    out = []
+    for g in gates:
+        if g != drop:
+            out.append(g)
+        if g == duplicate:
+            out.append(g)
+    return tuple(out)
 
 
 def test_plan_matches_fold_for_edited_sequences():
-    # a repeated phase gate multiplies into its twiddle; a missing one leaves
-    # a factor of one
-    shape = RegisterShape(3, 4)
+    # a repeated phase gate multiplies into its twiddle or group kernel; a
+    # missing one leaves a factor of one
+    cases = []
+    gates = build_fft_sequence(RegisterShape(3, 4)).gates
+    phases = [g for g in gates if g.kind == "phase"]
+    cases.append((RegisterShape(3, 4), _edited(gates, phases[0], phases[-1])))
+    # at d=2, q=9 the stages are qudits 8..5, 4..1 and 0; (5, 7) and (1, 3)
+    # lie inside one group, (2, 6) and (0, 8) span two
+    shape = RegisterShape(2, 9)
     gates = build_fft_sequence(shape).gates
-    phases = [i for i, g in enumerate(gates) if g.kind == "phase"]
-    edited = list(gates)
-    edited.insert(phases[0], gates[phases[0]])
-    del edited[phases[-1] + 1]
-    seq = GateSequence(shape, tuple(edited))
-    rng = np.random.default_rng(10)
-    state = QuditState(shape, rng.normal(size=shape.n_amps) + 1j * rng.normal(size=shape.n_amps))
-    assert_allclose(apply_sequence(state, seq).amps, _fold(state, seq).amps, rtol=0, atol=1e-12)
+    inside = [GateDescriptor("phase", 7, 5), GateDescriptor("phase", 3, 1)]
+    across = [GateDescriptor("phase", 6, 2), GateDescriptor("phase", 8, 0)]
+    cases.append((shape, _edited(gates, inside[0], across[0])))
+    cases.append((shape, _edited(gates, across[1], inside[1])))
+    for shape, edited in cases:
+        seq = GateSequence(shape, edited)
+        rng = np.random.default_rng(10)
+        state = QuditState(shape, rng.normal(size=shape.n_amps) + 1j * rng.normal(size=shape.n_amps))
+        assert_allclose(apply_sequence(state, seq).amps, _fold(state, seq).amps, rtol=0, atol=1e-12)
+        # the edit changes the transform
+        assert np.abs(apply_sequence(state, build_fft_sequence(shape)).amps - _fold(state, seq).amps).max() > 1e-3
 
 
 def test_apply_sequence_leaves_input_untouched():
@@ -315,6 +371,14 @@ def test_verify_fft_equivalence_sampled_needs_seed():
     assert not report.exhaustive
     assert report.n_inputs == 32
     assert report.passed
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_verify_fft_equivalence_rejects_fewer_than_one_sample(n_samples):
+    # zero inputs would pass vacuously
+    for shape, seed in [(RegisterShape(2, 13), 5), (RegisterShape(3, 2), None)]:
+        with pytest.raises(ValueError, match="n_samples"):
+            verify_fft_equivalence(shape, seed=seed, n_samples=n_samples)
 
 
 def test_verify_fft_equivalence_respects_custom_limit():

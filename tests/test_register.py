@@ -69,6 +69,19 @@ def test_dit_reversal_permutation_matches_stringwise_reverse(d, q):
         assert perm[a] == dit_reverse(encode_dits(a, shape)).value()
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 16, 32])
+def test_dit_reversal_permutation_is_bit_equal_to_transpose_formula(d):
+    # reference: reverse the digit axes of arange(N) and read it out in order
+    q = 1
+    while d**q <= DEFAULT_MAX_AMPS:
+        shape = RegisterShape(d, q)
+        want = np.arange(shape.n_amps).reshape((d,) * q).transpose(range(q - 1, -1, -1)).ravel()
+        got = dit_reversal_permutation(shape)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        q += 1
+
+
 def test_register_shape_validation():
     with pytest.raises(ValueError):
         RegisterShape(1, 2)
