@@ -2,19 +2,17 @@
 
 Layers, bottom up:
 
-  register    mixed-radix amplitude indexing, digit strings, register states
+  register    mixed-radix amplitude indexing, the amplitude cap, register states
   gates       the Fourier/phase gate factorization of the N-point transform
   wavepacket  Rydberg level bands and the dual radial wave-packet basis
   pulses      area-parametrized drive pulses and band-leakage integrators
   iontrap     the five-pulse conditional phase gate on a two-ion phonon bus
   cli         JSON-reporting command-line front end over all of the above
 """
-from .constants import DEFAULT_MAX_AMPS, EPS_STATE, EPS_UNITARY, MAX_AMPS_ENV
+from .constants import EPS_STATE
 from .errors import ConfigurationError, ContractError
 from .gates import (
-    EquivalenceReport,
     GateDescriptor,
-    GateSequence,
     accumulated_phase_turns,
     apply_fourier_gate,
     apply_phase_gate,
@@ -26,7 +24,6 @@ from .gates import (
     verify_fft_equivalence,
 )
 from .iontrap import (
-    FidelityReport,
     JointIonState,
     PulseStep,
     TrapParams,
@@ -47,7 +44,6 @@ from .pulses import (
     AtomState,
     PulseProfile,
     RabiCouplings,
-    collective_rabi,
     integrate_full,
     integrate_two_level,
     resonant_pulse_map,
@@ -55,13 +51,10 @@ from .pulses import (
     selectivity_sweep,
 )
 from .register import (
-    DitString,
     QuditState,
     RegisterShape,
     basis_state,
     dit_reversal_permutation,
-    dit_reverse,
-    encode_dits,
     measure_register,
 )
 from .wavepacket import (
@@ -71,7 +64,6 @@ from .wavepacket import (
     dispersion_fidelity,
     free_evolve,
     level_offsets,
-    offset_to_digit,
     wavepacket_basis_matrix,
 )
 
@@ -82,16 +74,9 @@ __all__ = [
     "AtomState",
     "ConfigurationError",
     "ContractError",
-    "DEFAULT_MAX_AMPS",
-    "DitString",
     "EPS_STATE",
-    "EPS_UNITARY",
-    "EquivalenceReport",
-    "FidelityReport",
     "GateDescriptor",
-    "GateSequence",
     "JointIonState",
-    "MAX_AMPS_ENV",
     "PulseProfile",
     "PulseStep",
     "QuditState",
@@ -112,12 +97,9 @@ __all__ = [
     "build_phase_gate_schedule",
     "build_run_steps",
     "change_basis",
-    "collective_rabi",
     "direct_dft",
     "dispersion_fidelity",
     "dit_reversal_permutation",
-    "dit_reverse",
-    "encode_dits",
     "execute_schedule",
     "fourier_gate_matrix",
     "free_evolve",
@@ -127,7 +109,6 @@ __all__ = [
     "integrate_two_level",
     "level_offsets",
     "measure_register",
-    "offset_to_digit",
     "phase_gate_table",
     "resonant_pulse_map",
     "run_phase_gate",

@@ -53,7 +53,7 @@ from .wavepacket import (
 
 MODES = ("verify-qft", "wavepacket", "pulse", "iontrap", "full")
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 # Python types a config value may take, by the annotation of its RunConfig field.
 _FIELD_KINDS = {"int": int, "float": (int, float), "float | None": (int, float, type(None))}
@@ -81,9 +81,6 @@ class RunConfig:
     multiplicity: int = 1
     kepler_periods: float = 2.0
     omega_ge: float = 50.0
-    eta: float = 0.1
-    nu_x: float = 1.0
-    omega_e: float = 100.0
 
     def validate(self) -> None:
         for f in fields(self):
@@ -164,7 +161,6 @@ def _spectrum_from(cfg: RunConfig) -> RydbergSpectrum:
         t_rev=t_rev,
         t_sr=t_sr,
         truncation=cfg.truncation,
-        allow_noninteger_nbar=True,
     )
 
 
@@ -173,8 +169,8 @@ def _run_verify_qft(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
     report = verify_fft_equivalence(
         shape, tol=cfg.tolerance, seed=cfg.seed, n_samples=cfg.n_samples
     )
-    rows = [report.to_dict()]
-    return report.to_dict(), report.passed, rows
+    results = asdict(report)
+    return results, report.passed, [results]
 
 
 def _run_wavepacket(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
@@ -182,7 +178,7 @@ def _run_wavepacket(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
     u = wavepacket_basis_matrix(d)
     unitarity_err = float(np.abs(u.conj().T @ u - np.eye(d)).max())
 
-    kepler = RydbergSpectrum(cfg.n_bar, d, allow_noninteger_nbar=True)
+    kepler = RydbergSpectrum(cfg.n_bar, d)
     slot_time = kepler.t_kepler / d
     rng = np.random.default_rng(cfg.seed)
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -219,7 +215,7 @@ def _run_wavepacket(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
 
 
 def _run_pulse(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
-    spectrum = RydbergSpectrum(cfg.n_bar, cfg.d, allow_noninteger_nbar=True)
+    spectrum = RydbergSpectrum(cfg.n_bar, cfg.d)
     couplings = RabiCouplings.uniform(cfg.d)
 
     pulse = PulseProfile(1.0, math.pi, shape=cfg.pulse_shape)
@@ -263,9 +259,7 @@ def _run_pulse(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
 def _run_iontrap(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
     q = max(cfg.q, cfg.target_index + 1)
     shape = RegisterShape(cfg.d, q)
-    params = TrapParams(
-        nu_x=cfg.nu_x, eta=cfg.eta, omega_e=cfg.omega_e, omega_ge=cfg.omega_ge
-    )
+    params = TrapParams(omega_ge=cfg.omega_ge)
     spectrum = _spectrum_from(cfg)
     report = verify_hybrid_gate(
         shape,
@@ -287,7 +281,7 @@ def _run_iontrap(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
         }
         for i, err in enumerate(report.per_branch_phase_error)
     ]
-    return report.to_dict(), passed, rows
+    return asdict(report), passed, rows
 
 
 def _run_full(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:

@@ -47,6 +47,7 @@ import numpy as np
 from .register import (
     QuditState,
     RegisterShape,
+    check_amplitude_count,
     dft_exponents,
     dft_kernel,
     dft_table,
@@ -98,7 +99,11 @@ class GateSequence:
 
 
 def fourier_gate_matrix(d: int) -> np.ndarray:
-    """d x d Fourier kernel F[b, a] = exp(+i 2π a b / d) / sqrt(d), from :func:`dft_kernel`."""
+    """d x d Fourier kernel F[b, a] = exp(+i 2π a b / d) / sqrt(d), from :func:`dft_kernel`.
+
+    Raises ``ValueError`` before allocating when d*d exceeds the register cap.
+    """
+    check_amplitude_count((d, d), f"{d}x{d} Fourier kernel")
     digits = np.arange(d)
     return dft_kernel(d, digits, digits)
 
@@ -380,21 +385,6 @@ class EquivalenceReport:
     max_phase_err: float
     tol: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "q": self.q,
-            "gate_count": self.gate_count,
-            "n_inputs": self.n_inputs,
-            "exhaustive": self.exhaustive,
-            "order": self.order,
-            "max_entry_err": self.max_entry_err,
-            "max_mod_err": self.max_mod_err,
-            "max_phase_err": self.max_phase_err,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, float, float]:

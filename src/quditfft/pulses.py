@@ -3,10 +3,10 @@
 The control primitive is a pulse of fixed area: the drive strength is
 kappa(t) = area * envelope(t) with the envelope normalized to unit time
 integral, so ``area`` is the total Rabi angle regardless of shape or
-duration. Equivalently kappa = f(t) * collective_rabi with the profile f
-scaled to make the product integrate to the requested area; a resonant
-pi-area pulse swaps the ground state with the radially localized core packet
-(slot 0).
+duration. Equivalently kappa = f(t) * omega_tilde_0, the collective Rabi
+frequency of :class:`RabiCouplings`, with the profile f scaled to make the
+product integrate to the requested area; a resonant pi-area pulse swaps the
+ground state with the radially localized core packet (slot 0).
 
 The idealized protocol treats {ground, core packet} as a closed two-level
 system, everything else frozen. In reality the band disperses while the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EPS_STATE, MAX_RK4_STEPS
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, require_unit_norm
 from .wavepacket import (
     WAVEPACKET,
     AmplitudeVector,
@@ -147,14 +147,6 @@ class RabiCouplings:
         return self.omega_gj / self.omega_tilde_0
 
 
-def collective_rabi(omega_gj: np.ndarray) -> float:
-    """(1/sqrt(d)) * sum_j omega_gj for a raw coupling array (d >= 1)."""
-    omega = np.asarray(omega_gj, dtype=np.float64)
-    if omega.ndim != 1 or omega.shape[0] < 1:
-        raise ValueError(f"omega_gj must be 1-D and nonempty, got shape {omega.shape}")
-    return float(omega.sum() / math.sqrt(omega.shape[0]))
-
-
 @dataclass(frozen=True)
 class AtomState:
     """Ground amplitude plus the band in the wave-packet basis."""
@@ -187,9 +179,7 @@ class AtomState:
         return float(math.sqrt(abs(self.b_g) ** 2 + np.sum(np.abs(self.wp.amps) ** 2)))
 
     def require_normalized(self, tol: float = EPS_STATE) -> None:
-        n = self.norm()
-        if abs(n - 1.0) > tol:
-            raise ContractError(f"atom state norm {n} deviates from 1 by more than {tol}")
+        require_unit_norm(self.norm(), "atom state", tol)
 
 
 def resonant_pulse_map(area: float) -> np.ndarray:

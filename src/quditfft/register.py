@@ -7,13 +7,15 @@ is the least significant.
 """
 from __future__ import annotations
 
+import itertools
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DEFAULT_MAX_AMPS, EPS_STATE, MAX_AMPS_ENV
-from .errors import ContractError
+from .errors import require_unit_norm
 
 
 def _amplitude_cap() -> int:
@@ -27,6 +29,22 @@ def _amplitude_cap() -> int:
     if cap < 2:
         raise ValueError(f"{MAX_AMPS_ENV} must be at least 2, got {cap}")
     return cap
+
+
+def check_amplitude_count(factors: Iterable[int], what: str, cap: int | None = None) -> None:
+    """Raise ValueError naming QUDITFFT_MAX_AMPS if the product of ``factors`` exceeds the cap.
+
+    The cap is ``cap`` when given, else the environment's (default 2**20).
+    Multiplies up to the cap, one factor at a time (at most log2(cap) + 1
+    steps for factors >= 2), so a product like d**q for a huge q is never
+    formed; callers check before they allocate.
+    """
+    cap = _amplitude_cap() if cap is None else cap
+    n = 1
+    for factor in factors:
+        n *= factor
+        if n > cap:
+            raise ValueError(f"{what} exceeds the cap of {cap} (raise {MAX_AMPS_ENV} to override)")
 
 
 @dataclass(frozen=True)
@@ -47,72 +65,15 @@ class RegisterShape:
             raise ValueError(f"qudit dimension must be >= 2, got d={self.d}")
         if self.q < 1:
             raise ValueError(f"register needs at least one qudit, got q={self.q}")
-        cap = self.max_amps if self.max_amps is not None else _amplitude_cap()
-        # Multiply up to the cap (at most log2(cap) + 1 steps, since d >= 2)
-        # instead of forming d**q, which for huge q takes unbounded time.
-        n = 1
-        for _ in range(self.q):
-            n *= self.d
-            if n > cap:
-                raise ValueError(
-                    f"register of {self.d}**{self.q} amplitudes exceeds the cap "
-                    f"of {cap} (raise {MAX_AMPS_ENV} to override)"
-                )
+        check_amplitude_count(
+            itertools.repeat(self.d, self.q),
+            f"register of {self.d}**{self.q} amplitudes",
+            self.max_amps,
+        )
 
     @property
     def n_amps(self) -> int:
         return self.d**self.q
-
-
-@dataclass(frozen=True)
-class DitString:
-    """A base-d digit string, most significant digit first."""
-
-    digits: tuple[int, ...]
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"digit base must be >= 2, got {self.d}")
-        if not self.digits:
-            raise ValueError("digit string must be non-empty")
-        for x in self.digits:
-            if not 0 <= x < self.d:
-                raise ValueError(f"digit {x} out of range for base {self.d}")
-
-    @property
-    def q(self) -> int:
-        return len(self.digits)
-
-    def value(self) -> int:
-        """Integer value, digit m weighting d**m (last digit least significant)."""
-        v = 0
-        for x in self.digits:
-            v = v * self.d + x
-        return v
-
-    def digit(self, m: int) -> int:
-        """Digit at significance m (m=0 is least significant)."""
-        if not 0 <= m < self.q:
-            raise ValueError(f"digit index {m} out of range for q={self.q}")
-        return self.digits[self.q - 1 - m]
-
-
-def encode_dits(a: int, shape: RegisterShape) -> DitString:
-    """Base-d digits of amplitude index ``a``, most significant first."""
-    if not 0 <= a < shape.n_amps:
-        raise ValueError(f"index {a} out of range for {shape.n_amps} amplitudes")
-    digits = []
-    rest = a
-    for _ in range(shape.q):
-        digits.append(rest % shape.d)
-        rest //= shape.d
-    return DitString(tuple(reversed(digits)), shape.d)
-
-
-def dit_reverse(s: DitString) -> DitString:
-    """Reverse the digit order. An involution."""
-    return DitString(tuple(reversed(s.digits)), s.d)
 
 
 def dft_table(n: int, sign: int = 1) -> np.ndarray:
@@ -190,9 +151,7 @@ class QuditState:
         return np.abs(self.amps) ** 2
 
     def require_normalized(self, tol: float = EPS_STATE) -> None:
-        n = self.norm()
-        if abs(n - 1.0) > tol:
-            raise ContractError(f"state norm {n} deviates from 1 by more than {tol}")
+        require_unit_norm(self.norm(), "state", tol)
 
 
 def basis_state(a: int, shape: RegisterShape) -> QuditState:
@@ -204,11 +163,14 @@ def basis_state(a: int, shape: RegisterShape) -> QuditState:
     return QuditState(shape, amps)
 
 
-def measure_register(state: QuditState, rng_seed: int) -> DitString:
-    """Sample one digit string from |amplitude|^2. Deterministic for a given seed."""
+def measure_register(state: QuditState, rng_seed: int) -> tuple[int, ...]:
+    """Sample one outcome from |amplitude|^2 as its digits, most significant first.
+
+    Deterministic for a given seed.
+    """
     state.require_normalized()
     probs = state.probabilities()
     probs = probs / probs.sum()
     rng = np.random.default_rng(rng_seed)
     outcome = int(rng.choice(state.shape.n_amps, p=probs))
-    return encode_dits(outcome, state.shape)
+    return tuple(int(x) for x in np.unravel_index(outcome, (state.shape.d,) * state.shape.q))

@@ -27,13 +27,14 @@ input parameters.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import EPS_STATE
-from .errors import ContractError
-from .register import dft_kernel
+from .errors import require_unit_norm
+from .register import check_amplitude_count, dft_kernel
 
 ENERGY = "energy"
 WAVEPACKET = "wavepacket"
@@ -55,22 +56,13 @@ def level_offsets(d: int) -> np.ndarray:
     return np.where(digits <= d // 2, digits, digits - d)
 
 
-def offset_to_digit(j: int, d: int) -> int:
-    """Inverse of :func:`level_offsets` on its range."""
-    offsets = level_offsets(d)
-    digit = j % d
-    if offsets[digit] != j:
-        raise ValueError(f"offset {j} outside the symmetric window for d={d}")
-    return digit
-
-
 @dataclass(frozen=True)
 class RydbergSpectrum:
     """Taylor model of d circular-level frequencies around n̄.
 
     ``t_rev`` and ``t_sr`` are required only when the truncation includes the
-    corresponding term. n̄ must be an integer unless ``allow_noninteger_nbar``
-    is set (the Kepler period 2π n̄³ is the only place n̄ enters).
+    corresponding term. n̄ may be any positive finite number: it enters only
+    through the Kepler period 2π n̄³.
     """
 
     n_bar: float
@@ -78,16 +70,13 @@ class RydbergSpectrum:
     t_rev: float | None = None
     t_sr: float | None = None
     truncation: str = KEPLER
-    allow_noninteger_nbar: bool = False
 
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError(f"need at least two levels, got d={self.d}")
-        if self.n_bar <= 0:
-            raise ValueError(f"mean principal quantum number must be positive, got {self.n_bar}")
-        if not self.allow_noninteger_nbar and self.n_bar != int(self.n_bar):
+        if not math.isfinite(self.n_bar) or self.n_bar <= 0:
             raise ValueError(
-                f"n_bar={self.n_bar} is not an integer; pass allow_noninteger_nbar=True to permit it"
+                f"mean principal quantum number must be positive and finite, got {self.n_bar}"
             )
         if self.truncation not in TRUNCATIONS:
             raise ValueError(f"truncation must be one of {TRUNCATIONS}, got {self.truncation!r}")
@@ -125,8 +114,10 @@ def wavepacket_basis_matrix(d: int) -> np.ndarray:
     """Unitary U with U[j, k] = exp(-i 2π j k / d)/√d: column k is packet k in level amplitudes.
 
     This is :func:`dft_kernel` with sign -1, the conjugate of the gate layer's
-    Fourier kernel.
+    Fourier kernel. Raises ``ValueError`` before allocating when d*d exceeds
+    the register cap.
     """
+    check_amplitude_count((d, d), f"{d}x{d} wave-packet kernel")
     digits = np.arange(d)
     return dft_kernel(d, digits, digits, sign=-1)
 
@@ -160,9 +151,7 @@ class AmplitudeVector:
         return float(np.linalg.norm(self.amps))
 
     def require_normalized(self, tol: float = EPS_STATE) -> None:
-        n = self.norm()
-        if abs(n - 1.0) > tol:
-            raise ContractError(f"vector norm {n} deviates from 1 by more than {tol}")
+        require_unit_norm(self.norm(), "vector", tol)
 
 
 def change_basis(v: AmplitudeVector, to: str) -> AmplitudeVector:

@@ -19,7 +19,7 @@ def test_default_mode_passes_and_reports_schema(capsys):
     code, out, err = run_cli(capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["mode"] == "verify-qft"
     assert report["passed"] is True
     assert report["config"]["d"] == 3
@@ -111,10 +111,13 @@ def test_nonphysical_fidelity_above_one_fails(tmp_path, capsys, monkeypatch):
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mode": "verify-qft", "bogus_knob": 1}))
-    code, _, err = run_cli(capsys, "--config", str(cfg))
-    assert code == 2
-    assert "bogus_knob" in err
+    # eta, nu_x and omega_e were trap knobs that changed nothing; they are gone
+    for key in ("bogus_knob", "eta", "nu_x", "omega_e"):
+        cfg.write_text(json.dumps({"mode": "verify-qft", key: 0.1}))
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"unknown config keys: {key}" in err
 
 
 def test_bad_config_values_exit_two(tmp_path, capsys):
@@ -177,6 +180,25 @@ def test_register_cap_env_var_guards_cli(tmp_path, capsys, monkeypatch):
     assert "QUDITFFT_MAX_AMPS" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "wavepacket", "--d", "20000"),
+        ("--mode", "pulse", "--d", "20000"),
+        ("--mode", "verify-qft", "--d", "1000000", "--q", "1"),
+        ("--mode", "iontrap", "--d", "100"),
+    ],
+)
+def test_large_d_exits_two_before_allocating(capsys, argv):
+    # each would ask for gigabytes: a d x d kernel, or the trap's d**2 stack
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "QUDITFFT_MAX_AMPS" in err
+
+
 def test_out_file_and_csv(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     csv_path = tmp_path / "points.csv"
@@ -186,7 +208,7 @@ def test_out_file_and_csv(tmp_path, capsys):
     assert code == 0
     assert out == ""  # report went to the file instead
     report = json.loads(out_path.read_text())
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,12 +62,10 @@ def uniform_hybrid_state(d):
 
 
 def test_trap_params_validation():
-    with pytest.raises(ValueError):
-        TrapParams(nu_x=-1.0)
-    with pytest.raises(ValueError):
-        TrapParams(q_ions=1)
-    with pytest.warns(UserWarning):
-        TrapParams(eta=0.5)
+    assert TrapParams().omega_ge == 50.0
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega_ge must be positive and finite"):
+            TrapParams(omega_ge=bad)
 
 
 def test_hybrid_basis_state_layout():
@@ -332,7 +331,17 @@ def test_composed_gate_reaches_unit_fidelity(d):
     assert report.trap_residual_max < 1e-10
     assert report.max_branch_phase_error < 1e-9
     assert report.d == d
-    assert report.to_dict()["fidelity"] == report.fidelity
+    assert dataclasses.asdict(report)["fidelity"] == report.fidelity
+
+
+def test_composed_gate_stack_is_held_to_the_amplitude_cap(monkeypatch):
+    # the d=2 stack holds 4 states of (3, 4, 2) amplitudes: 96 in all
+    shape, spectrum = RegisterShape(2, 2), RydbergSpectrum(2, 2)
+    monkeypatch.setenv("QUDITFFT_MAX_AMPS", "96")
+    assert verify_hybrid_gate(shape, 0, 1, TrapParams(), spectrum).fidelity > 1.0 - 1e-9
+    monkeypatch.setenv("QUDITFFT_MAX_AMPS", "95")
+    with pytest.raises(ValueError, match="QUDITFFT_MAX_AMPS"):
+        verify_hybrid_gate(shape, 0, 1, TrapParams(), spectrum)
 
 
 def test_composed_gate_single_period_runs():

@@ -12,7 +12,6 @@ from quditfft import (
     PulseProfile,
     RabiCouplings,
     RydbergSpectrum,
-    collective_rabi,
     integrate_full,
     integrate_two_level,
     resonant_pulse_map,
@@ -65,13 +64,11 @@ def test_selectivity_threshold_is_one_slot():
 
 def test_collective_rabi_examples():
     # uniform couplings add coherently: sqrt(d) * omega
-    assert_allclose(collective_rabi(np.full(4, 0.7)), 2.0 * 0.7)
-    # single level: no enhancement
-    assert_allclose(collective_rabi(np.array([1.3])), 1.3)
+    assert_allclose(RabiCouplings(np.full(4, 0.7)).omega_tilde_0, 2.0 * 0.7)
     # mixed couplings: (1 + 2 + 3)/sqrt(3) = 2 sqrt(3)
-    assert_allclose(collective_rabi(np.array([1.0, 2.0, 3.0])), 2.0 * math.sqrt(3.0))
+    assert_allclose(RabiCouplings(np.array([1.0, 2.0, 3.0])).omega_tilde_0, 2.0 * math.sqrt(3.0))
     with pytest.raises(ValueError):
-        collective_rabi(np.ones((2, 2)))
+        RabiCouplings(np.ones((2, 2)))
 
 
 def test_rabi_couplings_consistency():

@@ -6,56 +6,21 @@ from numpy.testing import assert_allclose
 
 from quditfft import (
     ContractError,
-    DitString,
     QuditState,
     RegisterShape,
     basis_state,
     dit_reversal_permutation,
-    dit_reverse,
-    encode_dits,
+    fourier_gate_matrix,
     measure_register,
+    wavepacket_basis_matrix,
 )
 from quditfft.constants import DEFAULT_MAX_AMPS, MAX_AMPS_ENV
 from quditfft.register import dft_kernel, dft_table
 
 
-@pytest.mark.parametrize("d,q", [(2, 1), (2, 5), (3, 2), (5, 3), (7, 2)])
-def test_encode_dits_roundtrip(d, q):
-    shape = RegisterShape(d, q)
-    for a in range(shape.n_amps):
-        s = encode_dits(a, shape)
-        assert s.q == q
-        assert s.value() == a
-        # digit m is the coefficient of d**m
-        for m in range(q):
-            assert s.digit(m) == (a // d**m) % d
-
-
-def test_encode_dits_rejects_out_of_range():
-    shape = RegisterShape(3, 2)
-    with pytest.raises(ValueError):
-        encode_dits(9, shape)
-    with pytest.raises(ValueError):
-        encode_dits(-1, shape)
-
-
-def test_dit_string_validation():
-    with pytest.raises(ValueError):
-        DitString((0, 3), 3)
-    with pytest.raises(ValueError):
-        DitString((), 3)
-    with pytest.raises(ValueError):
-        DitString((0, 1), 1)
-    s = DitString((2, 0, 1), 3)
-    assert s.value() == 2 * 9 + 0 * 3 + 1
-    with pytest.raises(ValueError):
-        s.digit(3)
-
-
-def test_dit_reverse_is_involution():
-    s = DitString((1, 0, 2, 2), 3)
-    assert dit_reverse(dit_reverse(s)) == s
-    assert dit_reverse(s).digits == (2, 2, 0, 1)
+def reversed_digits_value(a, d, q):
+    """Reference: the value of a's q base-d digits read in reverse, digit by digit."""
+    return sum((a // d**m) % d * d ** (q - 1 - m) for m in range(q))
 
 
 @pytest.mark.parametrize("d,q", [(2, 4), (3, 3), (4, 2), (5, 2), (2, 10), (3, 1)])
@@ -66,7 +31,7 @@ def test_dit_reversal_permutation_matches_stringwise_reverse(d, q):
     assert sorted(perm) == list(range(shape.n_amps))
     assert_allclose(perm[perm], np.arange(shape.n_amps))
     for a in range(shape.n_amps):
-        assert perm[a] == dit_reverse(encode_dits(a, shape)).value()
+        assert perm[a] == reversed_digits_value(a, d, q)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 16, 32])
@@ -127,6 +92,15 @@ def test_amplitude_cap_env_var(monkeypatch):
     assert RegisterShape(2, 20).n_amps == DEFAULT_MAX_AMPS
 
 
+def test_kernel_builders_share_the_amplitude_cap(monkeypatch):
+    # a d x d kernel is held to the same cap as a register of d*d amplitudes
+    monkeypatch.setenv(MAX_AMPS_ENV, "16")
+    for build in (fourier_gate_matrix, wavepacket_basis_matrix):
+        assert build(4).shape == (4, 4)
+        with pytest.raises(ValueError, match=MAX_AMPS_ENV):
+            build(5)
+
+
 def test_basis_state_and_norm():
     shape = RegisterShape(3, 2)
     state = basis_state(4, shape)
@@ -154,8 +128,11 @@ def test_measure_register_is_deterministic_per_seed():
     state = QuditState(shape, amps / np.linalg.norm(amps))
     first = measure_register(state, rng_seed=42)
     assert first == measure_register(state, rng_seed=42)
-    # a deterministic state always measures to its own index
-    assert measure_register(basis_state(7, shape), rng_seed=0).value() == 7
+    assert len(first) == 2 and all(type(x) is int and 0 <= x < 3 for x in first)
+    # a basis state always measures to its own digits, most significant
+    # first: 7 = 2*3 + 1 gives (2, 1)
+    for a in range(shape.n_amps):
+        assert measure_register(basis_state(a, shape), rng_seed=a) == (a // 3, a % 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 32, 2187])

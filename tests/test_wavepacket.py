@@ -10,7 +10,6 @@ from quditfft import (
     dispersion_fidelity,
     free_evolve,
     level_offsets,
-    offset_to_digit,
     wavepacket_basis_matrix,
 )
 from quditfft.wavepacket import ENERGY, KEPLER, REVIVAL, SUPER_REVIVAL, WAVEPACKET
@@ -25,20 +24,12 @@ def test_level_offsets_windows():
         level_offsets(1)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9])
-def test_offset_to_digit_inverts_level_offsets(d):
-    for digit, j in enumerate(level_offsets(d)):
-        assert offset_to_digit(int(j), d) == digit
-    with pytest.raises(ValueError):
-        offset_to_digit(d, d)  # above the window for every d
-
-
 def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        RydbergSpectrum(5.5, 3)
-    RydbergSpectrum(5.5, 3, allow_noninteger_nbar=True)
-    with pytest.raises(ValueError):
-        RydbergSpectrum(-2, 3)
+    # n̄ enters only through T_K = 2π n̄³, so any positive finite value is fine
+    assert_allclose(RydbergSpectrum(5.5, 3).t_kepler, 2.0 * np.pi * 5.5**3)
+    for bad in (-2, 0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RydbergSpectrum(bad, 3)
     with pytest.raises(ValueError):
         RydbergSpectrum(5, 1)
     with pytest.raises(ValueError):
