@@ -36,7 +36,6 @@ from .iontrap import (
     execute_schedule,
     free_evolve_joint,
     hybrid_phase_targets,
-    run_phase_gate,
     solve_aux_detuning,
     verify_hybrid_gate,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "measure_register",
     "phase_gate_table",
     "resonant_pulse_map",
-    "run_phase_gate",
     "selectivity_error",
     "selectivity_sweep",
     "solve_aux_detuning",

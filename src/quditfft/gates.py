@@ -437,11 +437,10 @@ def verify_fft_equivalence(
     tol: float = 1e-10,
     seed: int | None = None,
     n_samples: int = 256,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> EquivalenceReport:
     """Check that digit-reversed readout of the gate sequence equals DFT_N.
 
-    Basis inputs are enumerated exhaustively up to ``exhaustive_limit``
+    Basis inputs are enumerated exhaustively up to ``EXHAUSTIVE_LIMIT``
     amplitudes and sampled (seeded, >= ``n_samples`` inputs) above it. The
     sequence is checked once, in the order written; a wrong sequence fails.
     Raises ``ValueError`` for ``n_samples < 1``, which would check nothing.
@@ -449,7 +448,7 @@ def verify_fft_equivalence(
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     n = shape.n_amps
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_LIMIT:
         inputs = np.arange(n)
         exhaustive = True
     else:

@@ -24,6 +24,11 @@ receives the dialed phase. Branches sharing just j or just k pick up -1 from
 a completed pulse pair; composing the d*d runs cancels every -1, leaving the
 pure diagonal phase gate.
 
+There is one schedule path: ``build_phase_gate_schedule`` lists the 5*d*d
+pulses of the composed gate and ``execute_schedule`` fires them;
+``verify_hybrid_gate`` runs that same schedule. Core swaps act only on the
+target ion: the control ion stays in the energy basis throughout.
+
 Conventions and idealizations:
   * Rotating frame: band amplitudes rotate at the spectrum's frequency
     offsets; both ionic ground states, the auxiliary level, and the trap
@@ -60,12 +65,11 @@ from .register import RegisterShape, check_amplitude_count
 from .wavepacket import RydbergSpectrum, level_offsets, wavepacket_basis_matrix
 
 PULSE_KINDS = ("packet_swap", "sideband", "aux")
-IONS = ("l", "m")
 
-# Ion axis layout: control ("l") uses indices 0..d-1 for band levels in the
-# energy basis and index d for its ground state. Target ("m") uses 0..d-1 for
-# wave-packet slots, d for its ground state, d+1 for the auxiliary excited
-# level. Axis 2 is the shared trap mode {0, 1}.
+# Ion axis layout: the control ion uses indices 0..d-1 for band levels in the
+# energy basis and index d for its ground state. The target ion uses 0..d-1
+# for wave-packet slots, d for its ground state, d+1 for the auxiliary
+# excited level. Axis 2 is the shared trap mode {0, 1}.
 
 
 @dataclass(frozen=True)
@@ -200,28 +204,18 @@ def _require_within_cap(stranded_amps: np.ndarray, where: str, pulse: str) -> No
         )
 
 
-def apply_packet_swap(state: JointIonState, ion: str, area: float = math.pi) -> JointIonState:
-    """Core swap pulse: rotate {core packet, ground} of one ion by ``area``.
+def apply_packet_swap(state: JointIonState, area: float = math.pi) -> JointIonState:
+    """Core swap pulse on the target ion: rotate {slot 0, ground} by ``area``.
 
     The map is exp[+i (area/2) sigma_x] on the two-dimensional subspace; a pi
-    area exchanges the pair with a factor i each way. For the target ion the
-    core packet is slot 0; for the control ion it is the uniform band
-    combination, and the orthogonal band complement is untouched. The trap
-    mode is a spectator.
+    area exchanges the pair with a factor i each way. Slot 0 is the core
+    packet, the one at the inner turning point. The control ion and the trap
+    mode are spectators.
     """
-    if ion not in IONS:
-        raise ValueError(f"ion must be one of {IONS}, got {ion!r}")
     d = state.d
     amps = state.amps.copy()
-    if ion == "m":
-        a, b = amps[..., :, 0, :], amps[..., :, d, :]
-        amps[..., :, 0, :], amps[..., :, d, :] = _swap_pair(a, b, area, +1.0)
-    else:
-        core = amps[..., :d, :, :].sum(axis=-3) / math.sqrt(d)
-        g = amps[..., d, :, :]
-        new_core, new_g = _swap_pair(core, g, area, +1.0)
-        amps[..., :d, :, :] += (new_core - core)[..., None, :, :] / math.sqrt(d)
-        amps[..., d, :, :] = new_g
+    a, b = amps[..., :, 0, :], amps[..., :, d, :]
+    amps[..., :, 0, :], amps[..., :, d, :] = _swap_pair(a, b, area, +1.0)
     return JointIonState(d, amps, state.t)
 
 
@@ -335,26 +329,23 @@ def apply_aux_pulse(
 
 @dataclass(frozen=True)
 class PulseStep:
-    """One scheduled pulse: what to fire, at which ion, when, and how hard."""
+    """One scheduled pulse: what to fire and when.
+
+    Swaps act on the target ion and sidebands on the control ion, both with
+    area pi; the auxiliary drive acts on the target ion.
+    """
 
     kind: str
-    ion: str
     time: float
-    area: float = math.pi
     target_level: int | None = None
     detuning: float = 0.0
     multiplicity: int = 1
-    note: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in PULSE_KINDS:
             raise ValueError(f"kind must be one of {PULSE_KINDS}, got {self.kind!r}")
-        if self.ion not in IONS:
-            raise ValueError(f"ion must be one of {IONS}, got {self.ion!r}")
         if self.kind == "sideband" and self.target_level is None:
             raise ValueError("sideband steps need a target_level")
-        if self.kind == "aux" and self.ion != "m":
-            raise ValueError("the auxiliary drive lives on the target ion")
 
 
 def execute_schedule(
@@ -372,9 +363,9 @@ def execute_schedule(
             )
         state = free_evolve_joint(state, spectrum, step.time - state.t)
         if step.kind == "packet_swap":
-            state = apply_packet_swap(state, step.ion, step.area)
+            state = apply_packet_swap(state)
         elif step.kind == "sideband":
-            state = apply_sideband_pulse(state, step.target_level, step.area)
+            state = apply_sideband_pulse(state, step.target_level)
         else:
             state = apply_aux_pulse(state, step.detuning, params.omega_ge, step.multiplicity)
     return state
@@ -446,49 +437,13 @@ def build_run_steps(
             "between the sideband pulses; treating it as instantaneous is a stretch",
             stacklevel=2,
         )
-    k, j = packet_slot, level_digit
     return [
-        PulseStep("packet_swap", "m", t1, note=f"park packet {k} in the target ground state"),
-        PulseStep("sideband", "l", t2, target_level=j, note=f"map level {j} onto the phonon"),
-        PulseStep(
-            "aux",
-            "m",
-            t3,
-            area=2.0 * math.pi * multiplicity,
-            detuning=detuning,
-            multiplicity=multiplicity,
-            note=f"dial phase {phase:+.6f} onto the doubly addressed branch",
-        ),
-        PulseStep("sideband", "l", t4, target_level=j, note=f"retrieve level {j} from the phonon"),
-        PulseStep("packet_swap", "m", t5, note=f"restore packet {k}"),
+        PulseStep("packet_swap", t1),
+        PulseStep("sideband", t2, target_level=level_digit),
+        PulseStep("aux", t3, detuning=detuning, multiplicity=multiplicity),
+        PulseStep("sideband", t4, target_level=level_digit),
+        PulseStep("packet_swap", t5),
     ]
-
-
-def run_phase_gate(
-    state: JointIonState,
-    level_digit: int,
-    packet_slot: int,
-    phase: float,
-    params: TrapParams,
-    spectrum: RydbergSpectrum,
-    multiplicity: int = 1,
-    kepler_periods: float = 2,
-    t_ref: float = 0.0,
-) -> JointIonState:
-    """One conditional-phase run: five pulses plus the free evolution around them."""
-    steps = build_run_steps(
-        level_digit,
-        packet_slot,
-        phase,
-        state.d,
-        params,
-        spectrum,
-        t_min=state.t,
-        multiplicity=multiplicity,
-        kepler_periods=kepler_periods,
-        t_ref=t_ref,
-    )
-    return execute_schedule(state, steps, params, spectrum)
 
 
 def hybrid_phase_targets(d: int, span: int) -> np.ndarray:
@@ -513,7 +468,11 @@ def build_phase_gate_schedule(
     multiplicity: int = 1,
     kepler_periods: float = 2,
 ) -> list[PulseStep]:
-    """All d*d runs of the composed phase gate between qudits l < m, in order."""
+    """All d*d runs of the composed phase gate between qudits l < m, in order.
+
+    Run (j, k) is steps[5 * (j*d + k) : 5 * (j*d + k) + 5]; each run starts
+    no earlier than the previous one ends, aligned to ``t0``.
+    """
     if not 0 <= l < m < shape.q:
         raise ValueError(f"need qudit indices 0 <= l < m < q={shape.q}, got l={l}, m={m}")
     if shape.d != spectrum.d:
@@ -573,42 +532,33 @@ def verify_hybrid_gate(
     full pulse schedule together as one (d*d, d+1, d+2, 2) stack;
     free-evolution phases are removed by evolving back through the total
     duration, and the resulting matrix is compared to the diagonal target
-    exp(i phi[j, k]). Reports the process fidelity |Tr(target^dag M)|^2 / d^4
-    (global-phase invariant), per-branch phase errors after removing the
-    common phase, and the worst trap population left behind by any single
-    run on any single basis state. Raises ``ValueError`` before allocating
-    when the stack's d*d*(d+1)*(d+2)*2 amplitudes exceed the register cap.
+    exp(i phi[j, k]). The schedule is the one :func:`build_phase_gate_schedule`
+    returns, executed one five-pulse run at a time. Reports the process
+    fidelity |Tr(target^dag M)|^2 / d^4 (global-phase invariant), per-branch
+    phase errors after removing the common phase, and the worst trap
+    population left behind by any single run on any single basis state.
+    Raises ``ValueError`` before allocating when the stack's
+    d*d*(d+1)*(d+2)*2 amplitudes exceed the register cap.
     """
-    if not 0 <= l < m < shape.q:
-        raise ValueError(f"need qudit indices 0 <= l < m < q={shape.q}, got l={l}, m={m}")
-    if shape.d != spectrum.d:
-        raise ValueError(f"register has d={shape.d} but spectrum has d={spectrum.d}")
     d = shape.d
     check_amplitude_count(
         (d * d, d + 1, d + 2, 2),
         f"stack of {d * d} hybrid basis states of shape ({d + 1}, {d + 2}, 2)",
     )
-    phases = hybrid_phase_targets(d, m - l)
-    target_diag = np.exp(1j * phases.ravel())
+    steps = build_phase_gate_schedule(
+        l, m, shape, params, spectrum, multiplicity=multiplicity, kepler_periods=kepler_periods
+    )
+    target_diag = np.exp(1j * hybrid_phase_targets(d, m - l).ravel())
 
     # stack index j0*d + k0 holds basis state (j0, k0), i.e. column j0*d + k0
-    basis = [JointIonState.hybrid_basis(d, j0, k0).amps for j0 in range(d) for k0 in range(d)]
-    state = JointIonState(d, np.stack(basis))
+    col = np.arange(d * d)
+    amps = np.zeros((d * d, d + 1, d + 2, 2), dtype=np.complex128)
+    amps[col, col // d, col % d, 0] = 1.0
+    state = JointIonState(d, amps)
     residual_max = 0.0
-    for j in range(d):
-        for k in range(d):
-            state = run_phase_gate(
-                state,
-                j,
-                k,
-                float(phases[j, k]),
-                params,
-                spectrum,
-                multiplicity=multiplicity,
-                kepler_periods=kepler_periods,
-                t_ref=0.0,
-            )
-            residual_max = max(residual_max, float(state.trap_excited_population().max()))
+    for start in range(0, len(steps), 5):
+        state = execute_schedule(state, steps[start : start + 5], params, spectrum)
+        residual_max = max(residual_max, float(state.trap_excited_population().max()))
     duration = state.t
     state = free_evolve_joint(state, spectrum, -state.t)
     matrix = state.hybrid_block().reshape(d * d, d * d).T

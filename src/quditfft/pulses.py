@@ -112,27 +112,20 @@ class RabiCouplings:
     """Per-level drive couplings omega_gj, indexed by digit like the spectrum.
 
     ``omega_tilde_0`` is the collective core-packet coupling
-    (1/sqrt(d)) * sum_j omega_gj; it is computed when omitted and checked
-    against the levels when supplied.
+    (1/sqrt(d)) * sum_j omega_gj, derived from the levels.
     """
 
     omega_gj: np.ndarray
-    omega_tilde_0: float | None = None
 
     def __post_init__(self) -> None:
         omega = np.asarray(self.omega_gj, dtype=np.float64)
         if omega.ndim != 1 or omega.shape[0] < 2:
             raise ValueError(f"omega_gj must be 1-D with d >= 2 entries, got shape {omega.shape}")
+        if not np.all(np.isfinite(omega)):
+            raise ValueError(f"omega_gj must be finite, got {omega}")
         object.__setattr__(self, "omega_gj", omega)
-        collective = float(omega.sum() / math.sqrt(omega.shape[0]))
-        if collective == 0.0:
+        if self.omega_tilde_0 == 0.0:
             raise ValueError("couplings sum to zero; the core packet would not couple at all")
-        if self.omega_tilde_0 is None:
-            object.__setattr__(self, "omega_tilde_0", collective)
-        elif abs(self.omega_tilde_0 - collective) > 1e-12 * max(1.0, abs(collective)):
-            raise ValueError(
-                f"omega_tilde_0={self.omega_tilde_0} inconsistent with levels (expected {collective})"
-            )
 
     @classmethod
     def uniform(cls, d: int, omega: float = 1.0) -> "RabiCouplings":
@@ -141,6 +134,10 @@ class RabiCouplings:
     @property
     def d(self) -> int:
         return self.omega_gj.shape[0]
+
+    @property
+    def omega_tilde_0(self) -> float:
+        return float(self.omega_gj.sum() / math.sqrt(self.d))
 
     def level_weights(self) -> np.ndarray:
         """omega_gj / omega_tilde_0, the per-level weights in the full model."""

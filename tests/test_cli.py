@@ -144,18 +144,25 @@ def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, ke
     assert f"{key} must be finite" in err
 
 
+# values only the trap gate reads, so only --mode iontrap rejects them
+_BAD_TRAP_CONFIGS = [("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0)]
+
+
 @pytest.mark.parametrize(
     "key,value",
     [("d", 2.5), ("q", "3"), ("n_samples", 2.5), ("seed", 1.5), ("d", True), ("multiplicity", None),
-     ("tolerance", "1e-10"), ("n_samples", 0), ("n_samples", -3), ("tolerance", -1.0), ("tolerance", 0)],
+     ("tolerance", "1e-10"), ("n_samples", 0), ("n_samples", -3), ("tolerance", -1.0), ("tolerance", 0),
+     *_BAD_TRAP_CONFIGS],
 )
 def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
-    code, out, err = run_cli(capsys, "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: {key} must be")
+    modes = ["iontrap"] if (key, value) in _BAD_TRAP_CONFIGS else [None, "iontrap"]
+    for mode in modes:
+        cfg.write_text(json.dumps({key: value} if mode is None else {"mode": mode, key: value}))
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key} must be")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -379,15 +379,6 @@ def test_verify_fft_equivalence_rejects_fewer_than_one_sample(n_samples):
             verify_fft_equivalence(shape, seed=seed, n_samples=n_samples)
 
 
-def test_verify_fft_equivalence_respects_custom_limit():
-    report = verify_fft_equivalence(
-        RegisterShape(2, 5), seed=1, n_samples=8, exhaustive_limit=16
-    )
-    assert not report.exhaustive
-    assert report.n_inputs == 8
-    assert report.passed
-
-
 def test_verify_fft_equivalence_reports_a_wrong_sequence_once(monkeypatch):
     build = gates_module.build_fft_sequence
 

@@ -23,10 +23,19 @@ from quditfft import (
     free_evolve_joint,
     hybrid_phase_targets,
     level_offsets,
-    run_phase_gate,
     solve_aux_detuning,
     verify_hybrid_gate,
 )
+from quditfft.constants import EPS_FIDELITY
+
+
+def one_run(state, level_digit, packet_slot, phase, params, spectrum, kepler_periods=2):
+    """One conditional-phase run starting no earlier than the state time."""
+    steps = build_run_steps(
+        level_digit, packet_slot, phase, state.d, params, spectrum,
+        t_min=state.t, kepler_periods=kepler_periods,
+    )
+    return execute_schedule(state, steps, params, spectrum)
 
 
 def unbatched_hybrid_gate(d, spectrum, kepler_periods):
@@ -44,7 +53,7 @@ def unbatched_hybrid_gate(d, spectrum, kepler_periods):
             state = JointIonState.hybrid_basis(d, j0, k0)
             for j in range(d):
                 for k in range(d):
-                    state = run_phase_gate(
+                    state = one_run(
                         state, j, k, float(phases[j, k]), params, spectrum,
                         kepler_periods=kepler_periods,
                     )
@@ -112,35 +121,16 @@ def test_free_evolve_joint_cycles_target_packets():
 def test_packet_swap_exchanges_core_and_ground_on_target():
     d = 3
     state = JointIonState.hybrid_basis(d, 1, 0)
-    out = apply_packet_swap(state, "m")
+    out = apply_packet_swap(state)
     # pi area: |slot 0> -> i |ground>
     assert_allclose(out.amps[1, d, 0], 1j, atol=1e-15)
     assert_allclose(out.amps[1, 0, 0], 0.0, atol=1e-15)
     # and back, for a net -1 on the pair
-    back = apply_packet_swap(out, "m")
+    back = apply_packet_swap(out)
     assert_allclose(back.amps[1, 0, 0], -1.0, atol=1e-15)
     # other slots are untouched
-    other = apply_packet_swap(JointIonState.hybrid_basis(d, 1, 2), "m")
+    other = apply_packet_swap(JointIonState.hybrid_basis(d, 1, 2))
     assert_allclose(other.amps[1, 2, 0], 1.0, atol=1e-15)
-    with pytest.raises(ValueError):
-        apply_packet_swap(state, "x")
-
-
-def test_packet_swap_on_control_addresses_uniform_band_combination():
-    d = 4
-    amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
-    amps[:d, 0, 0] = 1.0 / math.sqrt(d)  # the control ion's core packet
-    state = JointIonState(d, amps)
-    out = apply_packet_swap(state, "l")
-    assert_allclose(out.amps[d, 0, 0], 1j, atol=1e-15)
-    assert_allclose(out.amps[:d, 0, 0], 0.0, atol=1e-15)
-    # a combination orthogonal to the core packet is a spectator
-    amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
-    amps[0, 0, 0] = 1.0 / math.sqrt(2.0)
-    amps[1, 0, 0] = -1.0 / math.sqrt(2.0)
-    state = JointIonState(d, amps)
-    out = apply_packet_swap(state, "l")
-    assert_allclose(out.amps, state.amps, atol=1e-15)
 
 
 def test_sideband_moves_level_population_onto_phonon():
@@ -220,12 +210,10 @@ def test_aux_pulse_contracts():
 
 def test_pulse_step_validation():
     with pytest.raises(ValueError):
-        PulseStep("bogus", "m", 0.0)
+        PulseStep("bogus", 0.0)
     with pytest.raises(ValueError):
-        PulseStep("sideband", "l", 0.0)  # needs target_level
-    with pytest.raises(ValueError):
-        PulseStep("aux", "l", 0.0)  # aux drive lives on the target ion
-    PulseStep("sideband", "l", 0.0, target_level=1)
+        PulseStep("sideband", 0.0)  # needs target_level
+    PulseStep("sideband", 0.0, target_level=1)
 
 
 def test_execute_schedule_rejects_backward_steps():
@@ -233,7 +221,7 @@ def test_execute_schedule_rejects_backward_steps():
     spectrum = RydbergSpectrum(2, d)
     params = TrapParams()
     state = free_evolve_joint(JointIonState.hybrid_basis(d, 0, 0), spectrum, 5.0)
-    steps = [PulseStep("packet_swap", "m", 1.0)]
+    steps = [PulseStep("packet_swap", 1.0)]
     with pytest.raises(ValueError):
         execute_schedule(state, steps, params, spectrum)
 
@@ -284,7 +272,7 @@ def test_single_run_branch_bookkeeping():
     spectrum = RydbergSpectrum(2, d)
     params = TrapParams()
     phi = 1.2345
-    out = run_phase_gate(uniform_hybrid_state(d), 1, 2, phi, params, spectrum)
+    out = one_run(uniform_hybrid_state(d), 1, 2, phi, params, spectrum)
     out = free_evolve_joint(out, spectrum, -out.t)
     block = out.hybrid_block() * d
     expected = np.ones((d, d), dtype=np.complex128)
@@ -307,7 +295,7 @@ def test_single_run_preserves_branch_moduli():
     raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     amps[:d, :d, 0] = raw / np.linalg.norm(raw)
     state = JointIonState(d, amps)
-    out = run_phase_gate(state, 0, 1, 2.2, params, spectrum)
+    out = one_run(state, 0, 1, 2.2, params, spectrum)
     out = free_evolve_joint(out, spectrum, -out.t)
     assert_allclose(np.abs(out.hybrid_block()), np.abs(amps[:d, :d, 0]), atol=1e-10)
 
@@ -389,6 +377,23 @@ def test_build_phase_gate_schedule_covers_all_runs():
         build_phase_gate_schedule(0, 1, RegisterShape(4, 2), TrapParams(), spectrum)
 
 
+def test_schedule_and_gate_with_multiplicity_two():
+    # each auxiliary drive runs two generalized Rabi cycles with the
+    # detuning solved for that multiplicity, and the composed gate stays exact
+    d = 3
+    shape, spectrum, params = RegisterShape(d, 2), RydbergSpectrum(2, d), TrapParams()
+    steps = build_phase_gate_schedule(0, 1, shape, params, spectrum, multiplicity=2, kepler_periods=1)
+    aux = [s for s in steps if s.kind == "aux"]
+    phases = hybrid_phase_targets(d, 1).ravel()
+    assert len(aux) == d * d
+    for step, phase in zip(aux, phases):
+        assert step.multiplicity == 2
+        assert step.detuning == solve_aux_detuning(float(phase), params.omega_ge, 2)
+    report = verify_hybrid_gate(shape, 0, 1, params, spectrum, multiplicity=2, kepler_periods=1)
+    assert abs(1.0 - report.fidelity) <= EPS_FIDELITY
+    assert report.multiplicity == 2
+
+
 def test_verify_hybrid_gate_validates_indices():
     d = 3
     spectrum = RydbergSpectrum(2, d)
@@ -426,7 +431,7 @@ def test_batched_gate_matches_unbatched_reference(d, truncation, kepler_periods)
     )
     for j in range(d):
         for k in range(d):
-            stack = run_phase_gate(
+            stack = one_run(
                 stack, j, k, float(phases[j, k]), TrapParams(), spectrum,
                 kepler_periods=kepler_periods,
             )
