@@ -29,8 +29,9 @@ import numpy as np
 from .constants import EPS_FIDELITY, EPS_PULSE, EPS_TRAP_RESIDUAL, EPS_UNITARY
 from .errors import ConfigurationError, ContractError
 from .gates import verify_fft_equivalence
-from .iontrap import TrapParams, verify_hybrid_gate
+from .iontrap import TrapParams, check_kepler_periods, check_multiplicity, verify_hybrid_gate
 from .pulses import (
+    PULSE_SHAPES,
     AtomState,
     PulseProfile,
     RabiCouplings,
@@ -110,6 +111,17 @@ class RunConfig:
             raise ConfigurationError(
                 f"pulse duration ratio must be positive, got {self.pulse_duration_ratio}"
             )
+        if self.pulse_shape not in PULSE_SHAPES:
+            raise ConfigurationError(
+                f"pulse_shape must be one of {PULSE_SHAPES}, got {self.pulse_shape!r}"
+            )
+        # the trap fields are checked in every mode, by the rules the trap applies
+        try:
+            TrapParams(omega_ge=self.omega_ge)
+            check_multiplicity(self.multiplicity)
+            check_kepler_periods(self.kepler_periods)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
 
 def _config_from_sources(args: argparse.Namespace) -> RunConfig:

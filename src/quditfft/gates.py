@@ -44,6 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .constants import BATCH_BUDGET
 from .register import (
     QuditState,
     RegisterShape,
@@ -57,12 +58,6 @@ from .register import (
 # Exhaustive basis-vector verification up to this many amplitudes; above it,
 # verification samples a seeded subset of basis inputs.
 EXHAUSTIVE_LIMIT = 4096
-
-# Cap on scratch size (complex entries) for batched matrix-free products. At
-# 4 MiB per array the plan's stages over a basis-column stack ran faster than
-# at 64 MiB (exhaustive N=4096, d=2: 3.2 s vs 4.6 s) and peak memory fell;
-# every column and kernel row is computed the same way at either size.
-_BATCH_BUDGET = 2**18
 
 # A plan stage covers as many consecutive qudits k as keep its kernel at
 # d**k <= 16 levels: four qubits, two qutrits or ququarts, one qudit for d >= 5.
@@ -211,14 +206,14 @@ class SequencePlan:
                 del tw  # freed before the GEMM allocates its output
             # Contract the leading digits a_hi ... a_lo and append
             # b_hi ... b_lo as the last axis, in row blocks of at most
-            # _BATCH_BUDGET outputs. Every row comes out bit-identical to one
+            # BATCH_BUDGET outputs. Every row comes out bit-identical to one
             # GEMM over the register, but two OpenBLAS threads touch memory
             # in proportion to the rows of one call: the fft bench peak RSS
             # read 190.8 MiB unblocked, 186.3 at this size and 179.1 at 2**16
             # outputs, which ran d=2, q=20 about 15% slower.
             rows = t.reshape(levels, -1).T
             t = np.empty((len(rows), levels), dtype=np.complex128)
-            step = max(1, _BATCH_BUDGET // levels)
+            step = max(1, BATCH_BUDGET // levels)
             for start in range(0, len(rows), step):
                 np.matmul(rows[start : start + step], kernel, out=t[start : start + step])
             del rows  # the previous stage's array, freed before the next twiddle
@@ -362,7 +357,7 @@ def direct_dft(state: QuditState, method: str = "sum") -> QuditState:
     if method != "sum":
         raise ValueError(f"unknown method {method!r}")
     out = np.empty(n, dtype=np.complex128)
-    chunk = max(1, min(n, _BATCH_BUDGET // n))
+    chunk = max(1, min(n, BATCH_BUDGET // n))
     cols = np.arange(n)
     for start in range(0, n, chunk):
         rows = np.arange(start, min(start + chunk, n))
@@ -398,7 +393,7 @@ def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, flo
     table = dft_table(n)
     moduli = np.abs(table)
     max_entry = max_mod = max_phase = 0.0
-    chunk = max(1, min(len(inputs), _BATCH_BUDGET // n))
+    chunk = max(1, min(len(inputs), BATCH_BUDGET // n))
     # Two scratch buffers serve every chunk: the kernel entries, later the
     # complex error terms, and the real error terms.
     want_buf = np.empty((chunk, n), dtype=np.complex128)

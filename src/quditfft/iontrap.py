@@ -239,6 +239,19 @@ def apply_sideband_pulse(state: JointIonState, level_digit: int, area: float = m
     return JointIonState(d, amps, state.t)
 
 
+def check_multiplicity(multiplicity: int) -> int:
+    """The auxiliary drive runs a whole number p >= 1 of cycles; returns p."""
+    if multiplicity < 1 or multiplicity != int(multiplicity):
+        raise ValueError(f"multiplicity must be a positive integer, got {multiplicity}")
+    return int(multiplicity)
+
+
+def check_kepler_periods(kepler_periods: float) -> None:
+    """A run spans at least one Kepler period (a fractional count only warns)."""
+    if kepler_periods < 1:
+        raise ValueError(f"kepler_periods must be at least 1, got {kepler_periods}")
+
+
 def aux_cycle_phase(detuning: float, omega_ge: float, multiplicity: int = 1) -> float:
     """Phase imprinted on |ground, 1 phonon> by a completed auxiliary drive.
 
@@ -257,9 +270,7 @@ def solve_aux_detuning(phi: float, omega_ge: float, multiplicity: int = 1) -> fl
     """
     if omega_ge <= 0:
         raise ValueError(f"omega_ge must be positive, got {omega_ge}")
-    if multiplicity < 1 or multiplicity != int(multiplicity):
-        raise ValueError(f"multiplicity must be a positive integer, got {multiplicity}")
-    p = int(multiplicity)
+    p = check_multiplicity(multiplicity)
     base = phi / (p * math.pi) - 1.0
     # Admissible ratios x = detuning/omega_ge are base + 2n/p within [-1, 1].
     lo = math.ceil(p * (-1.0 - base) / 2.0 - 1e-12)
@@ -298,13 +309,11 @@ def apply_aux_pulse(
         raise ValueError(
             f"|detuning|={abs(detuning)} exceeds omega_ge={omega_ge}; no real coupling exists"
         )
-    if multiplicity < 1 or multiplicity != int(multiplicity):
-        raise ValueError(f"multiplicity must be a positive integer, got {multiplicity}")
+    p = check_multiplicity(multiplicity)
     d = state.d
     _require_within_cap(
         state.amps[..., :, d + 1, 1], "|aux excited, 1 phonon>", "the auxiliary drive"
     )
-    p = int(multiplicity)
     coupling = math.sqrt(max(omega_ge**2 - detuning**2, 0.0))
     duration = 2.0 * math.pi * p / omega_ge
     half = omega_ge * duration / 2.0  # = pi * p
@@ -418,8 +427,7 @@ def build_run_steps(
         raise ValueError(f"level digit must be in [0, {d}), got {level_digit}")
     if not 0 <= packet_slot < d:
         raise ValueError(f"packet slot must be in [0, {d}), got {packet_slot}")
-    if kepler_periods < 1:
-        raise ValueError(f"kepler_periods must be at least 1, got {kepler_periods}")
+    check_kepler_periods(kepler_periods)
     if kepler_periods != int(kepler_periods):
         warnings.warn(
             f"kepler_periods={kepler_periods} is not an integer; the closing swap "

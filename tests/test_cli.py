@@ -144,25 +144,31 @@ def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, ke
     assert f"{key} must be finite" in err
 
 
-# values only the trap gate reads, so only --mode iontrap rejects them
-_BAD_TRAP_CONFIGS = [("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0)]
-
-
 @pytest.mark.parametrize(
     "key,value",
     [("d", 2.5), ("q", "3"), ("n_samples", 2.5), ("seed", 1.5), ("d", True), ("multiplicity", None),
      ("tolerance", "1e-10"), ("n_samples", 0), ("n_samples", -3), ("tolerance", -1.0), ("tolerance", 0),
-     *_BAD_TRAP_CONFIGS],
+     # read only by the trap gate or the pulse runner, yet rejected in every mode
+     ("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0), ("pulse_shape", "triangle")],
 )
 def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
-    modes = ["iontrap"] if (key, value) in _BAD_TRAP_CONFIGS else [None, "iontrap"]
-    for mode in modes:
+    for mode in (None, "iontrap"):
         cfg.write_text(json.dumps({key: value} if mode is None else {"mode": mode, key: value}))
         code, out, err = run_cli(capsys, "--config", str(cfg))
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {key} must be")
+
+
+def test_fractional_kepler_periods_warns_and_fails_the_gate(tmp_path, capsys):
+    # a count >= 1 passes validation, but the closing swap misses the turning point
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "iontrap", "d": 2, "kepler_periods": 1.5}))
+    with pytest.warns(UserWarning, match="kepler_periods=1.5 is not an integer"):
+        code, out, _ = run_cli(capsys, "--config", str(cfg))
+    assert code == 1
+    assert json.loads(out)["passed"] is False
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -23,6 +23,7 @@ from quditfft import (
     verify_fft_equivalence,
 )
 from quditfft import gates as gates_module
+from quditfft.constants import BATCH_BUDGET
 from quditfft.gates import GateSequence, compile_sequence
 from quditfft.register import QuditState
 
@@ -320,7 +321,7 @@ def _per_entry_exp_errors(shape, inputs):
     plan = compile_sequence(build_fft_sequence(shape))
     cols = dit_reversal_permutation(shape)
     max_entry = max_mod = max_phase = 0.0
-    chunk = max(1, min(len(inputs), gates_module._BATCH_BUDGET // n))
+    chunk = max(1, min(len(inputs), BATCH_BUDGET // n))
     for start in range(0, len(inputs), chunk):
         batch = inputs[start : start + chunk]
         arr = np.zeros((n, len(batch)), dtype=np.complex128)

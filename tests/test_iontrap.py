@@ -26,6 +26,7 @@ from quditfft import (
     solve_aux_detuning,
     verify_hybrid_gate,
 )
+from quditfft import iontrap as iontrap_module
 from quditfft.constants import EPS_FIDELITY
 
 
@@ -362,6 +363,27 @@ def test_composed_gate_degrades_under_dispersion():
     assert report.fidelity < 0.9
     assert_allclose(report.fidelity, 0.1734298583303604, rtol=1e-7)
     assert report.truncation == "revival"
+
+
+def test_verify_hybrid_gate_reads_the_trap_after_every_run(monkeypatch):
+    # the worst trap population is taken after each five-pulse run, not once
+    # at the end; under dispersion the runs leave different residuals
+    d = 4
+    spectrum = RydbergSpectrum(2, d, t_rev=20.0 * RydbergSpectrum(2, d).t_kepler, truncation="revival")
+    calls = []
+    real = iontrap_module.execute_schedule
+
+    def spy(state, steps, params, spec):
+        state = real(state, steps, params, spec)
+        calls.append((len(steps), float(state.trap_excited_population().max())))
+        return state
+
+    monkeypatch.setattr(iontrap_module, "execute_schedule", spy)
+    report = verify_hybrid_gate(RegisterShape(d, 2), 0, 1, TrapParams(), spectrum)
+    assert [n for n, _ in calls] == [5] * (d * d)
+    residuals = [p for _, p in calls]
+    assert max(residuals) > residuals[-1]
+    assert report.trap_residual_max == max(residuals)
 
 
 def test_build_phase_gate_schedule_covers_all_runs():

@@ -18,6 +18,7 @@ from quditfft import (
     selectivity_error,
     selectivity_sweep,
 )
+from quditfft import pulses as pulses_module
 from quditfft.constants import EPS_UNITARY, MAX_RK4_STEPS
 from quditfft.pulses import PULSE_SHAPES, _resolve_steps
 from quditfft.wavepacket import ENERGY, KEPLER, REVIVAL, WAVEPACKET
@@ -46,6 +47,16 @@ def test_envelope_integrates_to_one(shape):
     assert pulse.envelope(pulse.duration + 0.1) == 0.0
     # rabi is just area * envelope
     assert_allclose(pulse.rabi(t), 2.0 * np.asarray(pulse.envelope(t)), atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", ["square", "gaussian"])
+def test_envelope_sample_does_not_depend_on_the_batch(shape):
+    # RK4 samples the drive once per block of steps, so a time taken in an
+    # array must give the bits the same time gives alone
+    pulse = PulseProfile(39.27, 2.0, shape=shape)
+    t = pulse.duration * (np.arange(20001) / 20000)
+    one_by_one = np.array([pulse.rabi(x) for x in t.tolist()])
+    assert np.array_equal(pulse.rabi(t), one_by_one)
 
 
 def test_square_envelope_height():
@@ -324,6 +335,90 @@ def test_gaussian_default_is_rk4_at_the_default_step_count():
     two = integrate_two_level(state, pulse, coup)
     explicit_two = integrate_two_level(state, pulse, coup, n_steps=_resolve_steps(pulse, None, np.zeros(1)))
     assert np.array_equal(_as_vector(two), _as_vector(explicit_two))
+
+
+def _per_call_propagate(y0, offsets, weights, pulse, n_steps):
+    """Oracle for the RK4 path: the drive sampled anew in every right-hand side,
+    pulse.rabi(t) and both carrier phases, four times per step."""
+    d, detuning = offsets.shape[0], pulse.center_detuning
+    n = _resolve_steps(pulse, n_steps, offsets)
+
+    def deriv(t, y):
+        band, b_g = y[:d], y[d]
+        k = pulse.rabi(t)
+        out = np.empty_like(y)
+        out[:d] = -1j * offsets * band + 0.5j * k * weights * np.exp(+1j * detuning * t) * b_g
+        out[d] = 0.5j * k * np.exp(-1j * detuning * t) * np.dot(weights, band)
+        return out
+
+    h = pulse.duration / n
+    y = y0.astype(np.complex128, copy=True)
+    for i in range(n):
+        t0 = pulse.duration * (i / n)
+        t_mid = pulse.duration * ((i + 0.5) / n)
+        t1 = pulse.duration * ((i + 1) / n)
+        k1 = deriv(t0, y)
+        k2 = deriv(t_mid, y + 0.5 * h * k1)
+        k3 = deriv(t_mid, y + 0.5 * h * k2)
+        k4 = deriv(t1, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def _both_integrators(state, pulse, coup, spectrum, n_steps):
+    full = integrate_full(state, pulse, coup, spectrum, n_steps=n_steps)
+    two = integrate_two_level(state, pulse, coup, n_steps=n_steps)
+    return _as_vector(full), _as_vector(two)
+
+
+def _assert_bit_equal(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("kind", ["gaussian-default", "gaussian-explicit", "square-explicit"])
+@pytest.mark.parametrize("detuning", [0.0, 0.03, -0.05])
+@pytest.mark.parametrize("truncation", [KEPLER, REVIVAL])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_rk4_drive_tables_match_per_call_sampling(monkeypatch, d, truncation, detuning, kind):
+    rng = np.random.default_rng([d, len(truncation), int(1000 * abs(detuning)), detuning < 0])
+    spectrum = RydbergSpectrum(5, d, t_rev=20.0 * 2.0 * math.pi * 5**3, truncation=truncation)
+    coup = RabiCouplings(rng.uniform(0.5, 1.5, size=d))
+    shape, steps = kind.split("-")
+    pulse = PulseProfile(0.05 * spectrum.t_kepler, math.pi, shape=shape, center_detuning=detuning)
+    n_steps = None if steps == "default" else _resolve_steps(pulse, None, spectrum.frequency_offsets()) // 2 + 1
+    state = _random_atom_state(rng, d)
+    got = _both_integrators(state, pulse, coup, spectrum, n_steps)
+    monkeypatch.setattr(pulses_module, "_propagate", _per_call_propagate)
+    _assert_bit_equal(got, _both_integrators(state, pulse, coup, spectrum, n_steps))
+
+
+def test_rk4_drive_tables_are_built_block_by_block(monkeypatch):
+    # a 60-entry budget holds 7 steps of (d+1)=4 entries per half-step row
+    # at d=3 and 14 steps of 2 at the two-level case; 213 steps then leave a
+    # short last block, and the block edges fall all through the pulse
+    d, budget, n_steps = 3, 60, 213
+    rng = np.random.default_rng(11)
+    spectrum = RydbergSpectrum(5, d)
+    coup = RabiCouplings(rng.uniform(0.5, 1.5, size=d))
+    pulse = PulseProfile(0.05 * spectrum.t_kepler, math.pi, shape="gaussian", center_detuning=0.03)
+    state = _random_atom_state(rng, d)
+    whole = _both_integrators(state, pulse, coup, spectrum, n_steps)
+    samples = []
+    rabi = PulseProfile.rabi
+
+    def counting_rabi(self, t):
+        samples.append(np.size(t))
+        return rabi(self, t)
+
+    monkeypatch.setattr(pulses_module, "BATCH_BUDGET", budget)
+    monkeypatch.setattr(PulseProfile, "rabi", counting_rabi)
+    blocked = _both_integrators(state, pulse, coup, spectrum, n_steps)
+    # one drive sample per block, never per right-hand side, each within budget
+    assert samples == [15] * 30 + [7] + [29] * 15 + [7]
+    _assert_bit_equal(blocked, whole)
+    monkeypatch.setattr(pulses_module, "_propagate", _per_call_propagate)
+    _assert_bit_equal(blocked, _both_integrators(state, pulse, coup, spectrum, n_steps))
 
 
 def test_rk4_step_cap_is_enforced():
