@@ -29,7 +29,9 @@ import numpy as np
 from .constants import EPS_FIDELITY, EPS_PULSE, EPS_TRAP_RESIDUAL, EPS_UNITARY
 from .errors import ConfigurationError, ContractError
 from .gates import verify_fft_equivalence
-from .iontrap import TrapParams, check_kepler_periods, check_multiplicity, verify_hybrid_gate
+from .iontrap import (
+    TrapParams, check_gate_qudits, check_kepler_periods, check_multiplicity, verify_hybrid_gate
+)
 from .pulses import (
     PULSE_SHAPES,
     AtomState,
@@ -83,6 +85,11 @@ class RunConfig:
     kepler_periods: float = 2.0
     omega_ge: float = 50.0
 
+    @property
+    def trap_q(self) -> int:
+        """Qudits of the iontrap register: q, widened to hold the target qudit."""
+        return max(self.q, self.target_index + 1)
+
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
@@ -120,6 +127,7 @@ class RunConfig:
             TrapParams(omega_ge=self.omega_ge)
             check_multiplicity(self.multiplicity)
             check_kepler_periods(self.kepler_periods)
+            check_gate_qudits(self.control_index, self.target_index, self.trap_q)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
 
@@ -269,8 +277,7 @@ def _run_pulse(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
 
 
 def _run_iontrap(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
-    q = max(cfg.q, cfg.target_index + 1)
-    shape = RegisterShape(cfg.d, q)
+    shape = RegisterShape(cfg.d, cfg.trap_q)
     params = TrapParams(omega_ge=cfg.omega_ge)
     spectrum = _spectrum_from(cfg)
     report = verify_hybrid_gate(

@@ -27,8 +27,9 @@ small tables. It then makes one GEMM with the group's d**k-point kernel,
 which holds the group's own Fourier and phase gates; the GEMM contracts the
 leading digits a_hi ... a_lo and appends b_hi ... b_lo as the last axis.
 After the last stage the register is back in natural digit order, with no
-transpose or copy. The single-gate functions ``apply_fourier_gate`` and ``apply_phase_gate`` stay as
-the reference the plan is tested against.
+transpose or copy. Verification runs it input-pruned (Markel 1971) on one-hot GEMM rows,
+since a product with kernel rows would round differently. ``apply_fourier_gate`` and
+``apply_phase_gate`` stay as the reference the plan is tested against.
 
 Sign convention: the DFT kernel here is exp(+i 2π a c / N) / sqrt(N), the
 conjugate of the engineering FFT convention, so the classical cross-check
@@ -65,6 +66,10 @@ EXHAUSTIVE_LIMIT = 4096
 # A cap of 32 ran no faster: 48.9 vs 45.6 ms at d=2, q=20 (three 32-level
 # stages) and 22.4 vs 19.9 ms at d=3, q=12 (27 levels), 2-vCPU host.
 _STAGE_LEVELS = 16
+
+# Entries per block of verified columns: the fft bench's verify shapes took 302 / 224 /
+# 211 / 206 / 227 / 278 ms at 2**12 ... 2**18, (6, 6) 453-479 ms from 2**14 up (2 vCPUs).
+_VERIFY_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -204,20 +209,42 @@ class SequencePlan:
                 t = t.reshape(levels, -1, tw.shape[1])
                 t *= tw[:, None, :]
                 del tw  # freed before the GEMM allocates its output
-            # Contract the leading digits a_hi ... a_lo and append
-            # b_hi ... b_lo as the last axis, in row blocks of at most
-            # BATCH_BUDGET outputs. Every row comes out bit-identical to one
-            # GEMM over the register, but two OpenBLAS threads touch memory
-            # in proportion to the rows of one call: the fft bench peak RSS
-            # read 190.8 MiB unblocked, 186.3 at this size and 179.1 at 2**16
-            # outputs, which ran d=2, q=20 about 15% slower.
-            rows = t.reshape(levels, -1).T
-            t = np.empty((len(rows), levels), dtype=np.complex128)
-            step = max(1, BATCH_BUDGET // levels)
-            for start in range(0, len(rows), step):
-                np.matmul(rows[start : start + step], kernel, out=t[start : start + step])
-            del rows  # the previous stage's array, freed before the next twiddle
+            # contract a_hi ... a_lo and append b_hi ... b_lo as the last axis
+            t = _matmul_rows(t.reshape(levels, -1).T, kernel)
         return t.reshape(arr.shape[1:] + (self.shape.n_amps,))
+
+    def run_basis(self, inputs: np.ndarray) -> np.ndarray:
+        """``run`` on the one-hot columns of ``inputs``: the same (B, N) rows, bit for bit.
+
+        Until a stage contracts a_hi ... a_lo, column a is zero off j = (a // d**lo) % d**k,
+        so only its outputs so far, u, are carried: twiddled by rows tw[j], then fed to the
+        GEMM one-hot at j, as u ⊗ K[j] would not round through FMA as the GEMM does.
+        """
+        u = np.ones((len(inputs), 1), dtype=np.complex128)
+        weight = self.shape.n_amps
+        for kernel, tables in zip(self.kernels, self.twiddles):
+            levels = len(kernel)
+            weight //= levels
+            j = inputs // weight % levels
+            if tables:
+                u = u * _twiddle(tuple(table[j] for table in tables))
+            rows = np.zeros(u.shape + (levels,), dtype=np.complex128)
+            rows[np.arange(len(u)), :, j] = u
+            u = _matmul_rows(rows.reshape(-1, levels), kernel).reshape(len(u), -1)
+        return u
+
+
+def _matmul_rows(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """rows @ kernel in blocks of at most BATCH_BUDGET outputs, each row as in one GEMM.
+
+    Two OpenBLAS threads touch memory in proportion to a call's rows: the fft bench peak RSS
+    read 190.8 MiB unblocked, 186.3 in these blocks, 179.1 in 2**16 (d=2, q=20 15% slower).
+    """
+    out = np.empty((len(rows), len(kernel)), dtype=np.complex128)
+    step = max(1, BATCH_BUDGET // len(kernel))
+    for start in range(0, len(rows), step):
+        np.matmul(rows[start : start + step], kernel, out=out[start : start + step])
+    return out
 
 
 def _twiddle(tables: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -383,7 +410,11 @@ class EquivalenceReport:
 
 
 def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, float, float]:
-    """Max entry/modulus/phase error of reversed-readout sequence columns vs kernel."""
+    """Max entry/modulus/phase error of reversed-readout sequence columns vs kernel.
+
+    Columns come from the input-pruned :meth:`SequencePlan.run_basis`; its GEMM rows stay
+    one-hot because a product with kernel rows would round differently from the dense run.
+    """
     n = plan.shape.n_amps
     # Output column c holds DFT entry perm[c] (perm is an involution), so the
     # kernel is evaluated at the permuted columns instead of gathering got.
@@ -393,17 +424,14 @@ def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, flo
     table = dft_table(n)
     moduli = np.abs(table)
     max_entry = max_mod = max_phase = 0.0
-    chunk = max(1, min(len(inputs), BATCH_BUDGET // n))
+    chunk = max(1, min(len(inputs), _VERIFY_BLOCK // n))
     # Two scratch buffers serve every chunk: the kernel entries, later the
     # complex error terms, and the real error terms.
     want_buf = np.empty((chunk, n), dtype=np.complex128)
     err_buf = np.empty((chunk, n))
     for start in range(0, len(inputs), chunk):
         batch = inputs[start : start + chunk]
-        arr = np.zeros((n, len(batch)), dtype=np.complex128)
-        arr[batch, np.arange(len(batch))] = 1.0
-        got = plan.run(arr)
-        del arr  # free the basis stack before the kernel is built
+        got = plan.run_basis(batch)
         idx = dft_exponents(n, batch, cols)
         want, err = want_buf[: len(batch)], err_buf[: len(batch)]
         # idx is already reduced mod n, so "clip" never acts; it spares the

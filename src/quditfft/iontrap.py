@@ -252,6 +252,12 @@ def check_kepler_periods(kepler_periods: float) -> None:
         raise ValueError(f"kepler_periods must be at least 1, got {kepler_periods}")
 
 
+def check_gate_qudits(l: int, m: int, q: int) -> None:
+    """A phase gate couples a control qudit l to a target qudit m with 0 <= l < m < q."""
+    if not 0 <= l < m < q:
+        raise ValueError(f"need 0 <= control_index l < target_index m < q={q}, got l={l}, m={m}")
+
+
 def aux_cycle_phase(detuning: float, omega_ge: float, multiplicity: int = 1) -> float:
     """Phase imprinted on |ground, 1 phonon> by a completed auxiliary drive.
 
@@ -481,8 +487,7 @@ def build_phase_gate_schedule(
     Run (j, k) is steps[5 * (j*d + k) : 5 * (j*d + k) + 5]; each run starts
     no earlier than the previous one ends, aligned to ``t0``.
     """
-    if not 0 <= l < m < shape.q:
-        raise ValueError(f"need qudit indices 0 <= l < m < q={shape.q}, got l={l}, m={m}")
+    check_gate_qudits(l, m, shape.q)
     if shape.d != spectrum.d:
         raise ValueError(f"register has d={shape.d} but spectrum has d={spectrum.d}")
     phases = hybrid_phase_targets(shape.d, m - l)

@@ -161,6 +161,24 @@ def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys,
         assert err.startswith(f"error: {key} must be")
 
 
+@pytest.mark.parametrize("pair", [{"control_index": 5}, {"target_index": 0}, {"control_index": -1}])
+def test_bad_gate_qudits_exit_two_in_every_mode(tmp_path, capsys, pair):
+    # only the iontrap runner reads the indices, yet every mode rejects them
+    cfg = tmp_path / "cfg.json"
+    for mode in MODES:
+        cfg.write_text(json.dumps({"mode": mode, **pair}))
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: need 0 <= control_index l < target_index m")
+
+
+def test_target_index_widens_the_trap_register():
+    cfg = RunConfig(q=2, control_index=1, target_index=3)
+    cfg.validate()
+    assert cfg.trap_q == 4
+
+
 def test_fractional_kepler_periods_warns_and_fails_the_gate(tmp_path, capsys):
     # a count >= 1 passes validation, but the closing swap misses the turning point
     cfg = tmp_path / "cfg.json"

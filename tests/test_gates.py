@@ -208,6 +208,31 @@ def test_plan_column_stack_matches_single_vectors():
             assert_allclose(rows[b], plan.run(cols[:, b].copy()), rtol=0, atol=1e-13)
 
 
+def _one_hot_run(plan, inputs):
+    """Dense reference for run_basis: SequencePlan.run on the one-hot (N, B) stack."""
+    arr = np.zeros((plan.shape.n_amps, len(inputs)), dtype=np.complex128)
+    arr[inputs, np.arange(len(inputs))] = 1.0
+    return plan.run(arr)
+
+
+@pytest.mark.parametrize(
+    "d,q",
+    # grouped stages (2: 4 + 4 and 4 + 1, 3: 2 + 2 and 2 + 1, 4: 2 + 1), one
+    # qudit per stage (5, 7) and one stage (q = 1)
+    [(2, 8), (2, 5), (3, 4), (3, 3), (4, 3), (5, 3), (7, 2), (2, 1), (6, 1)],
+)
+def test_run_basis_is_bit_equal_to_dense_one_hot_run(d, q):
+    shape = RegisterShape(d, q)
+    plan = compile_sequence(build_fft_sequence(shape))
+    n = shape.n_amps
+    rng = np.random.default_rng(d * 10 + q)
+    # every column, an unsorted sample and a single column
+    for inputs in (np.arange(n), rng.permutation(n)[: max(1, n // 3)], np.array([n - 1])):
+        got = plan.run_basis(inputs)
+        assert got.shape == (len(inputs), n)
+        np.testing.assert_array_equal(got.view(np.int64), _one_hot_run(plan, inputs).view(np.int64))
+
+
 def _edited(gates, duplicate, drop):
     """The gate list with ``duplicate`` fired twice in a row and ``drop`` left out."""
     out = []
@@ -347,6 +372,30 @@ def test_verify_report_is_bit_equal_to_per_entry_exp_comparison(d, q, seed):
     assert (report.max_entry_err, report.max_mod_err, report.max_phase_err) == _per_entry_exp_errors(
         shape, inputs
     )
+
+
+@pytest.mark.parametrize("d,q,n_samples", [(5, 4, None), (2, 17, 3)])
+def test_verify_chunks_match_the_dense_oracle(monkeypatch, d, q, n_samples):
+    # (5, 4) is exhaustive with a short last chunk (625 columns, 104 per
+    # chunk); N = 2**17 exceeds the block, so (2, 17) runs one column per chunk
+    shape = RegisterShape(d, q)
+    n = shape.n_amps
+    chunk = max(1, gates_module._VERIFY_BLOCK // n)
+    inputs = np.arange(n) if n_samples is None else np.random.default_rng(5).choice(n, n_samples, replace=False)
+    assert chunk == 1 or len(inputs) % chunk
+    want = _per_entry_exp_errors(shape, inputs)
+    dense_shapes = []
+    run = gates_module.SequencePlan.run
+
+    def recording_run(self, arr):
+        dense_shapes.append(self.shape)
+        return run(self, arr)
+
+    monkeypatch.setattr(gates_module.SequencePlan, "run", recording_run)
+    report = verify_fft_equivalence(shape, seed=5, n_samples=n_samples or 256)
+    assert (report.max_entry_err, report.max_mod_err, report.max_phase_err) == want
+    # the dense plan runs only to build the group kernels, never on the register
+    assert shape not in dense_shapes
 
 
 def test_verify_fft_equivalence_exhaustive_small():

@@ -172,10 +172,11 @@ def test_coarse_step_count_is_rejected():
 def test_pi_pulse_accuracy_is_duration_invariant(duration):
     # regression for an endpoint-sampling bug: accumulating i*h + h could
     # overshoot the pulse window by one ulp, zeroing the final k4 sample of
-    # the square envelope and inflating the error to 1e-3 at some durations
+    # the square envelope and inflating the error to 1e-3 at some durations;
+    # the explicit step count keeps the square pulse on the RK4 path
     coup = RabiCouplings.uniform(3)
     out = integrate_two_level(
-        AtomState.ground(3), PulseProfile(duration, math.pi), coup
+        AtomState.ground(3), PulseProfile(duration, math.pi), coup, n_steps=100
     )
     want = resonant_pulse_map(math.pi) @ np.array([1.0, 0.0])
     assert np.abs(np.array([out.b_g, out.wp.amps[0]]) - want).max() < 1e-8
