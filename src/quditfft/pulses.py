@@ -39,10 +39,12 @@ import numpy as np
 from .constants import BATCH_BUDGET, EPS_STATE, MAX_RK4_STEPS
 from .errors import ConfigurationError, require_unit_norm
 from .wavepacket import (
+    ENERGY,
     WAVEPACKET,
     AmplitudeVector,
     RydbergSpectrum,
-    wavepacket_basis_matrix,
+    change_basis,
+    free_evolve,
 )
 
 PULSE_SHAPES = ("square", "gaussian")
@@ -301,7 +303,7 @@ def integrate_two_level(
     core, g = _propagate(y0, np.zeros(1), np.ones(1), pulse, n_steps)
     amps = state.wp.amps.copy()
     amps[0] = core
-    return AtomState(g, AmplitudeVector(WAVEPACKET, amps, state.wp.t0))
+    return AtomState(g, AmplitudeVector(WAVEPACKET, amps))
 
 
 def integrate_full(
@@ -328,11 +330,9 @@ def integrate_full(
         raise ValueError(f"couplings have d={couplings.d} but spectrum has d={spectrum.d}")
     if state.d != spectrum.d:
         raise ValueError(f"state has d={state.d} but spectrum has d={spectrum.d}")
-    d = spectrum.d
-    u = wavepacket_basis_matrix(d)
-    y0 = np.concatenate([u @ state.wp.amps, [state.b_g]])
+    y0 = np.append(change_basis(state.wp, ENERGY).amps, state.b_g)
     y = _propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), pulse, n_steps)
-    return AtomState(y[d], AmplitudeVector(WAVEPACKET, u.conj().T @ y[:d], state.wp.t0))
+    return AtomState(y[-1], change_basis(AmplitudeVector(ENERGY, y[:-1]), WAVEPACKET))
 
 
 def selectivity_error(
@@ -360,22 +360,19 @@ def selectivity_error(
             f"{spectrum.t_kepler:.3g}, d={spectrum.d}; leakage will be large",
             stacklevel=2,
         )
-    d = spectrum.d
-    u = wavepacket_basis_matrix(d)
-    core_band = u[:, 0].copy()
-    half_phases = np.exp(1j * spectrum.frequency_offsets() * (pulse.duration / 2.0))
-
-    start = AtomState(0.0, AmplitudeVector(WAVEPACKET, u.conj().T @ (half_phases * core_band)))
+    core = AtomState.core_packet(spectrum.d)
+    half = pulse.duration / 2.0
+    start = AtomState(0.0, free_evolve(core.wp, spectrum, -half))
     full = integrate_full(start, pulse, couplings, spectrum, n_steps=n_steps)
 
     if pulse.center_detuning == 0.0:
         g_ideal, core_ideal = resonant_pulse_map(pulse.area) @ np.array([0.0, 1.0])
     else:
-        two = integrate_two_level(AtomState.core_packet(d), pulse, couplings, n_steps=n_steps)
+        two = integrate_two_level(core, pulse, couplings, n_steps=n_steps)
         g_ideal, core_ideal = two.b_g, two.wp.amps[0]
-    ideal_band = np.conj(half_phases) * core_band * core_ideal
+    ideal_band = free_evolve(change_basis(core.wp, ENERGY), spectrum, half).amps * core_ideal
 
-    full_band = u @ full.wp.amps
+    full_band = change_basis(full.wp, ENERGY).amps
     overlap = np.conj(g_ideal) * full.b_g + np.vdot(ideal_band, full_band)
     return float(1.0 - abs(overlap) ** 2)
 

@@ -27,6 +27,7 @@ input parameters.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -61,8 +62,8 @@ class RydbergSpectrum:
     """Taylor model of d circular-level frequencies around n̄.
 
     ``t_rev`` and ``t_sr`` are required only when the truncation includes the
-    corresponding term. n̄ may be any positive finite number: it enters only
-    through the Kepler period 2π n̄³.
+    corresponding term, and must be positive whenever given. n̄ may be any
+    positive number with a finite Kepler period 2π n̄³, its only use.
     """
 
     n_bar: float
@@ -74,18 +75,18 @@ class RydbergSpectrum:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError(f"need at least two levels, got d={self.d}")
-        if not math.isfinite(self.n_bar) or self.n_bar <= 0:
-            raise ValueError(
-                f"mean principal quantum number must be positive and finite, got {self.n_bar}"
-            )
+        # products, not n̄**3: a float power raises OverflowError where this reads inf
+        if not (self.n_bar > 0 and math.isfinite(2.0 * math.pi * self.n_bar * self.n_bar * self.n_bar)):
+            raise ValueError(f"n_bar must be positive and finite, as must 2π n̄³, got {self.n_bar}")
         if self.truncation not in TRUNCATIONS:
             raise ValueError(f"truncation must be one of {TRUNCATIONS}, got {self.truncation!r}")
-        if self.truncation in (REVIVAL, SUPER_REVIVAL):
-            if self.t_rev is None or self.t_rev <= 0:
-                raise ValueError("revival truncation requires a positive t_rev")
-        if self.truncation == SUPER_REVIVAL:
-            if self.t_sr is None or self.t_sr <= 0:
-                raise ValueError("super-revival truncation requires a positive t_sr")
+        for name, value in (("t_rev", self.t_rev), ("t_sr", self.t_sr)):
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.truncation in (REVIVAL, SUPER_REVIVAL) and self.t_rev is None:
+            raise ValueError("revival truncation requires a positive t_rev")
+        if self.truncation == SUPER_REVIVAL and self.t_sr is None:
+            raise ValueError("super-revival truncation requires a positive t_sr")
 
     @property
     def t_kepler(self) -> float:
@@ -94,18 +95,14 @@ class RydbergSpectrum:
 
     def frequency_offsets(self, truncation: str | None = None) -> np.ndarray:
         """ω_j - ω_0 for each level, indexed by digit, honoring the truncation."""
-        trunc = self.truncation if truncation is None else truncation
-        if trunc not in TRUNCATIONS:
-            raise ValueError(f"truncation must be one of {TRUNCATIONS}, got {trunc!r}")
+        if truncation not in (None, self.truncation):
+            # the spectrum under the other truncation checks that its terms are set
+            return replace(self, truncation=truncation).frequency_offsets()
         j = level_offsets(self.d).astype(np.float64)
         omega = j / self.t_kepler
-        if trunc in (REVIVAL, SUPER_REVIVAL):
-            if self.t_rev is None or self.t_rev <= 0:
-                raise ValueError("revival term requested but t_rev is not set")
+        if self.truncation in (REVIVAL, SUPER_REVIVAL):
             omega = omega - j**2 / (2.0 * self.t_rev)
-        if trunc == SUPER_REVIVAL:
-            if self.t_sr is None or self.t_sr <= 0:
-                raise ValueError("super-revival term requested but t_sr is not set")
+        if self.truncation == SUPER_REVIVAL:
             omega = omega + j**3 / (6.0 * self.t_sr)
         return 2.0 * np.pi * omega
 
@@ -114,26 +111,31 @@ def wavepacket_basis_matrix(d: int) -> np.ndarray:
     """Unitary U with U[j, k] = exp(-i 2π j k / d)/√d: column k is packet k in level amplitudes.
 
     This is :func:`dft_kernel` with sign -1, the conjugate of the gate layer's
-    Fourier kernel. Raises ``ValueError`` before allocating when d*d exceeds
-    the register cap.
+    Fourier kernel, built once per d and read-only. Every call checks the
+    register cap first: ``ValueError`` when d*d exceeds it.
     """
     check_amplitude_count((d, d), f"{d}x{d} wave-packet kernel")
+    return _packet_matrix(d)
+
+
+@functools.lru_cache(maxsize=16)
+def _packet_matrix(d: int) -> np.ndarray:
     digits = np.arange(d)
-    return dft_kernel(d, digits, digits, sign=-1)
+    u = dft_kernel(d, digits, digits, sign=-1)
+    u.setflags(write=False)
+    return u
 
 
 @dataclass(frozen=True)
 class AmplitudeVector:
     """d amplitudes of one atom in either the energy or the wave-packet basis.
 
-    Carries the reference time ``t0`` at which the amplitudes are stated. Not
-    forced to unit norm (a register atom may share weight with other levels);
+    Not forced to unit norm (a register atom may share weight with other levels);
     use :meth:`require_normalized` where a closed state is expected.
     """
 
     basis: str
     amps: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.basis not in (ENERGY, WAVEPACKET):
@@ -171,25 +173,32 @@ def change_basis(v: AmplitudeVector, to: str) -> AmplitudeVector:
         amps = u.conj().T @ v.amps
     else:
         amps = u @ v.amps
-    return AmplitudeVector(to, amps, v.t0)
+    return AmplitudeVector(to, amps)
 
 
-def free_evolve(v: AmplitudeVector, spectrum: RydbergSpectrum, dt: float) -> AmplitudeVector:
-    """Evolve freely for dt >= 0: energy amplitudes pick up exp(-i (ω_j - ω_0) dt).
+def free_evolve(v: AmplitudeVector, spectrum: RydbergSpectrum,
+                dt: float | np.ndarray) -> AmplitudeVector | list[AmplitudeVector]:
+    """Evolve freely for dt of either sign: energy amplitudes pick up exp(-i (ω_j - ω_0) dt).
 
+    A 1-D array of times gives one vector per time, from one stacked product.
     In the wave-packet basis with the Kepler-only spectrum this reduces to the
     cyclic shift b_k(m T_K / d) = b_{k-m}(0): the packets hop around the orbit.
     """
-    if dt < 0:
-        raise ValueError(f"free evolution requires dt >= 0, got {dt}")
+    times = np.asarray(dt, dtype=np.float64)
+    if times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise ValueError(f"free evolution needs one finite time or a 1-D array of them, got {dt}")
     if v.d != spectrum.d:
         raise ValueError(f"vector has d={v.d} but spectrum has d={spectrum.d}")
-    phases = np.exp(-1j * spectrum.frequency_offsets() * dt)
+    phases = np.exp(-1j * spectrum.frequency_offsets() * times[..., None])
     if v.basis == ENERGY:
-        return AmplitudeVector(ENERGY, v.amps * phases, v.t0 + dt)
-    u = wavepacket_basis_matrix(v.d)
-    amps = u.conj().T @ (phases * (u @ v.amps))
-    return AmplitudeVector(WAVEPACKET, amps, v.t0 + dt)
+        amps = v.amps * phases
+    else:
+        u = wavepacket_basis_matrix(v.d)
+        # a batched matvec per time, not one GEMM, so each row rounds like a lone call
+        amps = (u.conj().T @ (phases * (u @ v.amps))[..., None])[..., 0]
+    if times.ndim == 0:
+        return AmplitudeVector(v.basis, amps)
+    return [AmplitudeVector(v.basis, row) for row in amps]
 
 
 def dispersion_fidelity(v: AmplitudeVector, spectrum: RydbergSpectrum, dt: float) -> float:

@@ -214,8 +214,8 @@ def test_criterion_08_ion_trap_protocol():
     assert verdict(
         8,
         ok,
-        "composed d^2 five-pulse runs: fidelities "
-        + ", ".join(f"d={d}: {r.fidelity:.12f}" for d, r in results.items())
+        "composed d^2 five-pulse runs: infidelities |1 - F| "
+        + ", ".join(f"d={d}: {abs(1.0 - r.fidelity):.1e}" for d, r in results.items())
         + f"; max trap residual {max(r.trap_residual_max for r in results.values()):.1e}; "
         f"d=4 in {elapsed_d4:.1f} s",
     )

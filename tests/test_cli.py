@@ -134,7 +134,8 @@ def test_bad_config_values_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["pulse_area", "tolerance", "omega_ge", "n_bar", "t_rev_ratio", "d"])
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+# a JSON integer beyond the float range is no finite number either
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="1e400")])
 def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(f'{{"mode": "full", "{key}": {value}}}')
@@ -149,7 +150,8 @@ def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, ke
     [("d", 2.5), ("q", "3"), ("n_samples", 2.5), ("seed", 1.5), ("d", True), ("multiplicity", None),
      ("tolerance", "1e-10"), ("n_samples", 0), ("n_samples", -3), ("tolerance", -1.0), ("tolerance", 0),
      # read only by the trap gate or the pulse runner, yet rejected in every mode
-     ("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0), ("pulse_shape", "triangle")],
+     ("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0), ("pulse_shape", "triangle"),
+     ("n_bar", -1), ("n_bar", 0), ("n_bar", 1e200), ("seed", -1)],
 )
 def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -159,6 +161,22 @@ def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys,
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {key} must be")
+
+
+@pytest.mark.parametrize(
+    "bad,field",
+    [({"truncation": "revival"}, "t_rev"), ({"t_rev_ratio": -1}, "t_rev"), ({"t_sr_ratio": 0}, "t_sr"),
+     ({"truncation": "super-revival", "t_rev_ratio": 1}, "t_sr")],
+)
+def test_bad_spectrum_terms_exit_two_in_every_mode(tmp_path, capsys, bad, field):
+    # the spectrum is built by the wave-packet layer's rules even where no mode reads it
+    cfg = tmp_path / "cfg.json"
+    for mode in MODES:
+        cfg.write_text(json.dumps({"mode": mode, **bad}))
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
 
 
 @pytest.mark.parametrize("pair", [{"control_index": 5}, {"target_index": 0}, {"control_index": -1}])

@@ -38,6 +38,14 @@ def test_spectrum_validation():
         RydbergSpectrum(5, 3, truncation=REVIVAL)  # t_rev missing
     with pytest.raises(ValueError):
         RydbergSpectrum(5, 3, t_rev=100.0, truncation=SUPER_REVIVAL)  # t_sr missing
+    # a given t_rev or t_sr must be positive even where the truncation ignores it
+    for name in ("t_rev", "t_sr"):
+        for bad in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                RydbergSpectrum(5, 3, **{name: bad})
+    # T_K = 2π n̄³ overflows: rejected, not an OverflowError at first use
+    with pytest.raises(ValueError, match="n_bar must be positive and finite"):
+        RydbergSpectrum(1e200, 3)
 
 
 def test_kepler_period_scaling():
@@ -107,11 +115,10 @@ def test_amplitude_vector_validation():
 def test_change_basis_roundtrip_and_convention():
     rng = np.random.default_rng(2)
     amps = rng.normal(size=6) + 1j * rng.normal(size=6)
-    packet = AmplitudeVector(WAVEPACKET, amps, t0=1.5)
+    packet = AmplitudeVector(WAVEPACKET, amps)
     energy = change_basis(packet, ENERGY)
     # convention: energy amplitudes e = U b
     assert_allclose(energy.amps, wavepacket_basis_matrix(6) @ amps, atol=1e-13)
-    assert energy.t0 == packet.t0
     back = change_basis(energy, WAVEPACKET)
     assert_allclose(back.amps, amps, atol=1e-13)
     assert change_basis(packet, WAVEPACKET) is packet
@@ -128,11 +135,51 @@ def test_free_evolve_energy_basis_phases():
     assert_allclose(
         out.amps, amps * np.exp(-1j * spectrum.frequency_offsets() * dt), atol=1e-13
     )
-    assert out.t0 == dt
-    with pytest.raises(ValueError):
-        free_evolve(v, spectrum, -1.0)
     with pytest.raises(ValueError):
         free_evolve(AmplitudeVector(ENERGY, np.ones(3) / np.sqrt(3)), spectrum, 1.0)
+
+
+def _spectra(d):
+    t_rev, t_sr = 40.0 * d, 900.0 * d
+    return [RydbergSpectrum(3, d, t_rev=t_rev, t_sr=t_sr, truncation=t)
+            for t in (KEPLER, REVIVAL, SUPER_REVIVAL)]
+
+
+@pytest.mark.parametrize("basis", [ENERGY, WAVEPACKET])
+@pytest.mark.parametrize("d", [3, 8, 64])
+def test_free_evolve_time_array_is_bit_equal_to_one_call_per_time(d, basis):
+    rng = np.random.default_rng(d)
+    v = AmplitudeVector(basis, rng.normal(size=d) + 1j * rng.normal(size=d))
+    times = np.concatenate([rng.uniform(-500.0, 500.0, size=6), [0.0]])
+    for spectrum in _spectra(d):
+        stacked = free_evolve(v, spectrum, times)
+        assert len(stacked) == len(times)
+        for t, out in zip(times, stacked):
+            assert out.basis == basis
+            np.testing.assert_array_equal(out.amps, free_evolve(v, spectrum, float(t)).amps)
+
+
+@pytest.mark.parametrize("basis", [ENERGY, WAVEPACKET])
+def test_negative_dt_inverts_free_evolve(basis):
+    rng = np.random.default_rng(11)
+    v = AmplitudeVector(basis, rng.normal(size=8) + 1j * rng.normal(size=8))
+    for spectrum in _spectra(8):
+        back = free_evolve(free_evolve(v, spectrum, 123.4), spectrum, -123.4)
+        assert_allclose(back.amps, v.amps, rtol=0, atol=1e-13)
+        for bad in (float("nan"), float("inf"), -float("inf"), np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="finite"):
+                free_evolve(v, spectrum, bad)
+
+
+def test_packet_matrix_is_cached_read_only_and_still_capped(monkeypatch):
+    u = wavepacket_basis_matrix(5)
+    assert wavepacket_basis_matrix(5) is u
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    monkeypatch.setenv("QUDITFFT_MAX_AMPS", "16")
+    with pytest.raises(ValueError, match="QUDITFFT_MAX_AMPS"):
+        wavepacket_basis_matrix(5)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
