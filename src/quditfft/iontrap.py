@@ -44,6 +44,10 @@ Conventions and idealizations:
     checked per state: the worst state decides, never the sum over the stack.
     ``verify_hybrid_gate`` pushes all d*d hybrid basis states through the
     schedule as one (d*d, d+1, d+2, 2) stack.
+  * ``execute_schedule`` copies its input once into a target-first buffer
+    (d+2, ..., d+1, 2): free evolution is a phase multiply and one GEMM on the
+    contiguous (d, M) slot rows, each pulse writes its two rows in place, and
+    one fresh state comes out. The input is never written.
   * While an amplitude is parked in a ground state it stops accruing band
     phase. With the default two-Kepler-period run the park windows span whole
     Kepler periods, so plain free-evolution compensation is exact run by run;
@@ -62,7 +66,7 @@ import numpy as np
 from .constants import EPS_STATE
 from .errors import ContractError, require_unit_norm
 from .register import RegisterShape, check_amplitude_count
-from .wavepacket import RydbergSpectrum, level_offsets, wavepacket_basis_matrix
+from .wavepacket import RydbergSpectrum, free_evolution_maps, level_offsets
 
 PULSE_KINDS = ("packet_swap", "sideband", "aux")
 
@@ -155,13 +159,28 @@ class JointIonState:
 
 @functools.lru_cache(maxsize=256)
 def _free_maps(spectrum: RydbergSpectrum, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (control level phases, target slot map) for free evolution by dt."""
-    phases = np.exp(-1j * spectrum.frequency_offsets() * dt)
-    u = wavepacket_basis_matrix(spectrum.d)
-    slot_map = u.conj().T @ (phases[:, None] * u)
-    phases.setflags(write=False)
-    slot_map.setflags(write=False)
-    return phases, slot_map
+    """Read-only (control phases, target slot map) for free evolution by dt."""
+    phases, slot_map = free_evolution_maps(spectrum, dt)
+    # one phase per (level, phonon) pair, so the multiply runs over whole buffer rows
+    maps = np.repeat(phases[:, None], 2, axis=1), slot_map
+    for m in maps:
+        m.setflags(write=False)
+    return maps
+
+
+def _free_evolve_in_place(buf: np.ndarray, spectrum: RydbergSpectrum, dt: float, scratch=None) -> None:
+    """Free evolution by dt of a target-leading buffer; ``scratch`` is (d, M) room for the GEMM."""
+    d = buf.shape[0] - 2
+    if d != spectrum.d:
+        raise ValueError(f"state has d={d} but spectrum has d={spectrum.d}")
+    if not math.isfinite(dt):
+        raise ValueError(f"free evolution needs one finite time, got {dt}")
+    if dt == 0.0:
+        return
+    phases, slot_map = _free_maps(spectrum, dt)
+    buf[..., :d, :] *= phases
+    slots = buf[:d]
+    slots[...] = np.dot(slot_map, slots.reshape(d, slots[0].size), out=scratch).reshape(slots.shape)
 
 
 def free_evolve_joint(state: JointIonState, spectrum: RydbergSpectrum, dt: float) -> JointIonState:
@@ -171,17 +190,9 @@ def free_evolve_joint(state: JointIonState, spectrum: RydbergSpectrum, dt: float
     transform by the dual-basis image of the same diagonal. Ground states,
     the auxiliary level, and the trap mode stay fixed in this frame.
     """
-    if state.d != spectrum.d:
-        raise ValueError(f"state has d={state.d} but spectrum has d={spectrum.d}")
-    if dt == 0.0:
-        return state
-    d = state.d
-    phases, slot_map = _free_maps(spectrum, dt)
-    amps = state.amps.copy()
-    amps[..., :d, :, :] *= phases[:, None, None]
-    slots = np.tensordot(slot_map, amps[..., :, :d, :], axes=([1], [-2]))
-    amps[..., :, :d, :] = np.moveaxis(slots, 0, -2)
-    return JointIonState(d, amps, state.t + dt)
+    buf = np.moveaxis(state.amps, -2, 0).copy()
+    _free_evolve_in_place(buf, spectrum, dt)
+    return JointIonState(state.d, np.moveaxis(buf, 0, -2).copy(), state.t + dt)
 
 
 def _swap_pair(a: np.ndarray, b: np.ndarray, area: float, sign: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +208,7 @@ def _require_within_cap(stranded_amps: np.ndarray, where: str, pulse: str) -> No
     ``stranded_amps`` is (..., n): the last axis runs over one state's
     amplitudes in the doubly excited subspace, the rest over the stack.
     """
-    worst = float(np.max(np.sum(np.abs(stranded_amps) ** 2, axis=-1)))
+    worst = float((np.abs(stranded_amps) ** 2).sum(axis=-1).max())
     if worst > EPS_STATE:
         raise ContractError(
             f"population {worst:.3e} in {where} would leave the single-phonon cap under {pulse}"
@@ -212,11 +223,14 @@ def apply_packet_swap(state: JointIonState, area: float = math.pi) -> JointIonSt
     packet, the one at the inner turning point. The control ion and the trap
     mode are spectators.
     """
-    d = state.d
     amps = state.amps.copy()
+    _packet_swap_in_place(amps, state.d, area)
+    return JointIonState(state.d, amps, state.t)
+
+
+def _packet_swap_in_place(amps: np.ndarray, d: int, area: float) -> None:
     a, b = amps[..., :, 0, :], amps[..., :, d, :]
     amps[..., :, 0, :], amps[..., :, d, :] = _swap_pair(a, b, area, +1.0)
-    return JointIonState(d, amps, state.t)
 
 
 def apply_sideband_pulse(state: JointIonState, level_digit: int, area: float = math.pi) -> JointIonState:
@@ -227,16 +241,19 @@ def apply_sideband_pulse(state: JointIonState, level_digit: int, area: float = m
     toward a second phonon, which the model cannot represent, so it raises
     ContractError if any state of the stack holds more than EPS_STATE there.
     """
-    d = state.d
+    amps = state.amps.copy()
+    _sideband_in_place(amps, state.d, level_digit, area)
+    return JointIonState(state.d, amps, state.t)
+
+
+def _sideband_in_place(amps: np.ndarray, d: int, level_digit: int, area: float) -> None:
     if not 0 <= level_digit < d:
         raise ValueError(f"level digit must be in [0, {d}), got {level_digit}")
     _require_within_cap(
-        state.amps[..., level_digit, :, 1], f"|level {level_digit}, 1 phonon>", "a sideband pulse"
+        amps[..., level_digit, :, 1], f"|level {level_digit}, 1 phonon>", "a sideband pulse"
     )
-    amps = state.amps.copy()
     a, b = amps[..., level_digit, :, 0], amps[..., d, :, 1]
     amps[..., level_digit, :, 0], amps[..., d, :, 1] = _swap_pair(a, b, area, -1.0)
-    return JointIonState(d, amps, state.t)
 
 
 def check_multiplicity(multiplicity: int) -> int:
@@ -309,37 +326,30 @@ def apply_aux_pulse(
     |aux excited, 1 phonon> would leave the phonon cap and raises
     ContractError if any state of the stack holds more than EPS_STATE there.
     """
+    amps = state.amps.copy()
+    _aux_in_place(amps, state.d, detuning, omega_ge, multiplicity)
+    return JointIonState(state.d, amps, state.t)
+
+
+def _aux_in_place(amps: np.ndarray, d: int, detuning: float, omega_ge: float, multiplicity: int) -> None:
     if omega_ge <= 0:
         raise ValueError(f"omega_ge must be positive, got {omega_ge}")
-    if abs(detuning) > omega_ge:
+    if not abs(detuning) <= omega_ge:
         raise ValueError(
             f"|detuning|={abs(detuning)} exceeds omega_ge={omega_ge}; no real coupling exists"
         )
     p = check_multiplicity(multiplicity)
-    d = state.d
-    _require_within_cap(
-        state.amps[..., :, d + 1, 1], "|aux excited, 1 phonon>", "the auxiliary drive"
-    )
+    _require_within_cap(amps[..., :, d + 1, 1], "|aux excited, 1 phonon>", "the auxiliary drive")
     coupling = math.sqrt(max(omega_ge**2 - detuning**2, 0.0))
     duration = 2.0 * math.pi * p / omega_ge
     half = omega_ge * duration / 2.0  # = pi * p
     c, s = math.cos(half), math.sin(half)
     # exp(-iHT) on the ordered pair (|g,1>, |e,0>), split into the trace part
     # exp(+i detuning T / 2) and the remaining SU(2) rotation.
-    trace_phase = np.exp(0.5j * detuning * duration)
-    rot = np.array(
-        [
-            [c - 1j * s * detuning / omega_ge, -1j * s * coupling / omega_ge],
-            [-1j * s * coupling / omega_ge, c + 1j * s * detuning / omega_ge],
-        ],
-        dtype=np.complex128,
-    )
-    u2 = trace_phase * rot
-    a, b = state.amps[..., :, d, 1], state.amps[..., :, d + 1, 0]
-    amps = state.amps.copy()
-    amps[..., :, d, 1] = u2[0, 0] * a + u2[0, 1] * b
-    amps[..., :, d + 1, 0] = u2[1, 0] * a + u2[1, 1] * b
-    return JointIonState(d, amps, state.t)
+    tilt, mix = 1j * s * detuning / omega_ge, -1j * s * coupling / omega_ge
+    u2 = np.exp(0.5j * detuning * duration) * np.array([[c - tilt, mix], [mix, c + tilt]])
+    a, b = amps[..., :, d, 1], amps[..., :, d + 1, 0]
+    amps[..., :, d, 1], amps[..., :, d + 1, 0] = u2[0, 0] * a + u2[0, 1] * b, u2[1, 0] * a + u2[1, 1] * b
 
 
 @dataclass(frozen=True)
@@ -361,6 +371,10 @@ class PulseStep:
             raise ValueError(f"kind must be one of {PULSE_KINDS}, got {self.kind!r}")
         if self.kind == "sideband" and self.target_level is None:
             raise ValueError("sideband steps need a target_level")
+        if type(self.target_level) not in (int, type(None)):  # bool is an int subclass
+            raise ValueError(f"target_level must be an int, got {self.target_level!r}")
+        if not (math.isfinite(self.time) and math.isfinite(self.detuning)):
+            raise ValueError(f"time and detuning must be finite, got {self.time} and {self.detuning}")
 
 
 def execute_schedule(
@@ -369,21 +383,30 @@ def execute_schedule(
     params: TrapParams,
     spectrum: RydbergSpectrum,
 ) -> JointIonState:
-    """Apply the steps in order, free-evolving between their nominal times."""
+    """Apply the steps in order, free-evolving between their nominal times.
+
+    Every step fires in place on one copy (module notes); ``state.amps`` is never written.
+    """
+    d, t = state.d, state.t
+    buf = np.moveaxis(state.amps, -2, 0).copy()
+    amps = np.moveaxis(buf, 0, -2)
+    scratch = np.empty((d, buf[0].size), dtype=np.complex128)
     for step in steps:
-        if step.time < state.t - 1e-9:
+        if step.time < t - 1e-9:
             raise ValueError(
-                f"step at t={step.time} lies before the state time {state.t}; "
+                f"step at t={step.time} lies before the state time {t}; "
                 "schedules must run forward"
             )
-        state = free_evolve_joint(state, spectrum, step.time - state.t)
+        dt = step.time - t
+        _free_evolve_in_place(buf, spectrum, dt, scratch)
+        t = t + dt
         if step.kind == "packet_swap":
-            state = apply_packet_swap(state)
+            _packet_swap_in_place(amps, d, math.pi)
         elif step.kind == "sideband":
-            state = apply_sideband_pulse(state, step.target_level)
+            _sideband_in_place(amps, d, step.target_level, math.pi)
         else:
-            state = apply_aux_pulse(state, step.detuning, params.omega_ge, step.multiplicity)
-    return state
+            _aux_in_place(amps, d, step.detuning, params.omega_ge, step.multiplicity)
+    return JointIonState(d, amps.copy(), t)
 
 
 def _plan_run_times(

@@ -25,6 +25,7 @@ from quditfft import (
     level_offsets,
     solve_aux_detuning,
     verify_hybrid_gate,
+    wavepacket_basis_matrix,
 )
 from quditfft import iontrap as iontrap_module
 from quditfft.constants import EPS_FIDELITY
@@ -508,3 +509,134 @@ def test_phonon_cap_contract_does_not_sum_over_the_stack():
     stack.require_normalized()
     apply_sideband_pulse(stack, 1)
     apply_aux_pulse(stack, 0.0, 50.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_and_detunings_are_rejected(bad):
+    d = 3
+    spectrum, params = RydbergSpectrum(5, d), TrapParams()
+    state = JointIonState.hybrid_basis(d, 1, 1)
+    with pytest.raises(ValueError, match="finite"):
+        free_evolve_joint(state, spectrum, bad)
+    with pytest.raises(ValueError, match="finite"):
+        PulseStep("packet_swap", bad)
+    with pytest.raises(ValueError, match="finite"):
+        PulseStep("aux", 1.0, detuning=bad)
+    with pytest.raises(ValueError):
+        apply_aux_pulse(state, bad, params.omega_ge)
+    with pytest.raises(ValueError):
+        execute_schedule(JointIonState(d, state.amps, bad), [PulseStep("packet_swap", 1.0)], params, spectrum)
+
+
+def test_pulse_step_requires_an_int_target_level():
+    for bad in (True, False, 1.0, "1", np.float64(1.0)):
+        with pytest.raises(ValueError, match="target_level must be an int"):
+            PulseStep("sideband", 0.0, target_level=bad)
+    # the range check waits for the firing, where d is known
+    step = PulseStep("sideband", 0.0, target_level=3)
+    with pytest.raises(ValueError, match="level digit"):
+        execute_schedule(JointIonState.hybrid_basis(3, 0, 0), [step], TrapParams(), RydbergSpectrum(2, 3))
+
+
+def basis_stack(d):
+    """The d*d hybrid basis states, stack index j*d + k holding (level j, packet k)."""
+    return JointIonState(d, np.stack([JointIonState.hybrid_basis(d, j, k).amps for j in range(d) for k in range(d)]))
+
+
+def test_execute_schedule_never_writes_its_input():
+    d = 3
+    spectrum, params = RydbergSpectrum(2, d), TrapParams()
+    steps = build_phase_gate_schedule(0, 1, RegisterShape(d, 2), params, spectrum)
+    for state in (uniform_hybrid_state(d), basis_stack(d)):
+        before = state.amps.copy()
+        out = execute_schedule(state, steps, params, spectrum)
+        assert state.amps.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.amps, state.amps)
+
+
+def reference_free_evolve(amps, spectrum, dt):
+    """Oracle free evolution: a whole-state copy, the control phases, then the
+    slot map U^dag diag(phases) U through tensordot on the public layout."""
+    d = spectrum.d
+    u = wavepacket_basis_matrix(d)
+    phases = np.exp(-1j * spectrum.frequency_offsets() * dt)
+    slot_map = u.conj().T @ (phases[:, None] * u)
+    amps = amps.copy()
+    amps[..., :d, :, :] *= phases[:, None, None]
+    amps[..., :, :d, :] = np.moveaxis(np.tensordot(slot_map, amps[..., :, :d, :], axes=([1], [-2])), 0, -2)
+    return amps
+
+
+def reference_schedule(amps, t, steps, params, spectrum):
+    """Oracle executor, map by map: each pulse's 2x2 map on its two rows of a
+    fresh whole-state copy. Returns (amps, t)."""
+    d = spectrum.d
+    for step in steps:
+        dt = step.time - t
+        if dt != 0.0:
+            amps, t = reference_free_evolve(amps, spectrum, dt), t + dt
+        amps = amps.copy()
+        if step.kind == "aux":
+            w, det = params.omega_ge, step.detuning
+            duration = 2.0 * math.pi * step.multiplicity / w
+            c, s = math.cos(w * duration / 2.0), math.sin(w * duration / 2.0)
+            mix = -1j * s * math.sqrt(max(w**2 - det**2, 0.0)) / w
+            m = np.exp(0.5j * det * duration) * np.array([[c - 1j * s * det / w, mix], [mix, c + 1j * s * det / w]])
+            rows = np.s_[..., :, d, 1], np.s_[..., :, d + 1, 0]
+        else:
+            sign = 1.0 if step.kind == "packet_swap" else -1.0
+            c, s = math.cos(math.pi / 2.0), math.sin(math.pi / 2.0)
+            m = [[c, sign * 1j * s], [sign * 1j * s, c]]
+            if step.kind == "packet_swap":
+                rows = np.s_[..., :, 0, :], np.s_[..., :, d, :]
+            else:
+                rows = np.s_[..., step.target_level, :, 0], np.s_[..., d, :, 1]
+        a, b = amps[rows[0]], amps[rows[1]]
+        amps[rows[0]], amps[rows[1]] = m[0][0] * a + m[0][1] * b, m[1][0] * a + m[1][1] * b
+    return amps, t
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "truncation,kepler_periods,multiplicity",
+    [("kepler", 2, 1), ("kepler", 1, 1), ("revival", 2, 1), ("kepler", 1, 2)],
+)
+def test_executor_is_bit_equal_to_the_map_by_map_oracle(d, truncation, kepler_periods, multiplicity, monkeypatch):
+    kepler = RydbergSpectrum(2, d)
+    spectrum = kepler
+    if truncation == "revival":
+        spectrum = RydbergSpectrum(2, d, t_rev=20.0 * kepler.t_kepler, truncation="revival")
+    shape, params = RegisterShape(d, 2), TrapParams()
+    steps = build_phase_gate_schedule(
+        0, 1, shape, params, spectrum, multiplicity=multiplicity, kepler_periods=kepler_periods
+    )
+    rng = np.random.default_rng([d, kepler_periods, multiplicity])
+    states = [basis_stack(d)]
+    for _ in range(2):
+        amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
+        raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        amps[:d, :d, 0] = raw / np.linalg.norm(raw)
+        states.append(JointIonState(d, amps))
+    for state in states:
+        out = execute_schedule(state, steps, params, spectrum)
+        want, t = reference_schedule(state.amps, state.t, steps, params, spectrum)
+        assert out.t == t
+        assert np.array_equal(out.amps, want)
+        back = free_evolve_joint(out, spectrum, -out.t)
+        assert np.array_equal(back.amps, reference_free_evolve(want, spectrum, -t))
+
+    # verify_hybrid_gate: the process matrix it forms and the trap read after every run
+    amps, t, residual = basis_stack(d).amps, 0.0, 0.0
+    for start in range(0, len(steps), 5):
+        amps, t = reference_schedule(amps, t, steps[start : start + 5], params, spectrum)
+        residual = max(residual, float(np.sum(np.abs(amps[..., 1]) ** 2, axis=(-2, -1)).max()))
+    want = reference_free_evolve(amps, spectrum, -t)[..., :d, :d, 0].reshape(d * d, d * d).T
+    finals = []
+    real = iontrap_module.free_evolve_joint
+    monkeypatch.setattr(iontrap_module, "free_evolve_joint", lambda *args: finals.append(real(*args)) or finals[-1])
+    report = verify_hybrid_gate(
+        shape, 0, 1, params, spectrum, multiplicity=multiplicity, kepler_periods=kepler_periods
+    )
+    assert np.array_equal(finals[-1].hybrid_block().reshape(d * d, d * d).T, want)
+    assert report.trap_residual_max == residual
+    assert report.total_duration == t
