@@ -25,9 +25,9 @@ a completed pulse pair; composing the d*d runs cancels every -1, leaving the
 pure diagonal phase gate.
 
 There is one schedule path: ``build_phase_gate_schedule`` lists the 5*d*d
-pulses of the composed gate and ``execute_schedule`` fires them;
-``verify_hybrid_gate`` runs that same schedule. Core swaps act only on the
-target ion: the control ion stays in the energy basis throughout.
+pulses of the composed gate and one private loop fires them, for
+``execute_schedule`` and ``verify_hybrid_gate`` alike. Core swaps act only on
+the target ion: the control ion stays in the energy basis throughout.
 
 Conventions and idealizations:
   * Rotating frame: band amplitudes rotate at the spectrum's frequency
@@ -42,12 +42,13 @@ Conventions and idealizations:
     the same (..., N) idiom the gate layer uses. Every map acts on each state
     of the stack independently, and every contract (phonon cap, norm) is
     checked per state: the worst state decides, never the sum over the stack.
-    ``verify_hybrid_gate`` pushes all d*d hybrid basis states through the
-    schedule as one (d*d, d+1, d+2, 2) stack.
   * ``execute_schedule`` copies its input once into a target-first buffer
-    (d+2, ..., d+1, 2): free evolution is a phase multiply and one GEMM on the
-    contiguous (d, M) slot rows, each pulse writes its two rows in place, and
-    one fresh state comes out. The input is never written.
+    (d+2, ..., d+1, 2): free evolution multiplies whole contiguous (d+1, 2)
+    rows by one phase row and runs one GEMM on the (d, M) slot rows, each
+    pulse writes its two rows in place, and one fresh state comes out. The
+    input is never written. ``verify_hybrid_gate`` fires the schedule run by
+    run on one such buffer of all d*d hybrid basis states and reads the trap
+    row from it after each run.
   * While an amplitude is parked in a ground state it stops accruing band
     phase. With the default two-Kepler-period run the park windows span whole
     Kepler periods, so plain free-evolution compensation is exact run by run;
@@ -141,7 +142,8 @@ class JointIonState:
         require_unit_norm(self.norm(), "joint state", tol)
 
     def trap_excited_population(self) -> float | np.ndarray:
-        return _per_state(np.sum(np.abs(self.amps[..., 1]) ** 2, axis=(-2, -1)))
+        # C order: a view of a target-leading buffer sums in a fresh state's order
+        return _per_state(np.sum(np.abs(self.amps[..., 1], order="C") ** 2, axis=(-2, -1)))
 
     def aux_population(self) -> float | np.ndarray:
         return _per_state(np.sum(np.abs(self.amps[..., :, self.d + 1, :]) ** 2, axis=(-2, -1)))
@@ -161,8 +163,8 @@ class JointIonState:
 def _free_maps(spectrum: RydbergSpectrum, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (control phases, target slot map) for free evolution by dt."""
     phases, slot_map = free_evolution_maps(spectrum, dt)
-    # one phase per (level, phonon) pair, so the multiply runs over whole buffer rows
-    maps = np.repeat(phases[:, None], 2, axis=1), slot_map
+    # a (d+1, 2) row, exactly 1 on the control ground: the multiply runs over whole buffer rows
+    maps = np.repeat(np.append(phases, 1.0)[:, None], 2, axis=1), slot_map
     for m in maps:
         m.setflags(write=False)
     return maps
@@ -178,7 +180,7 @@ def _free_evolve_in_place(buf: np.ndarray, spectrum: RydbergSpectrum, dt: float,
     if dt == 0.0:
         return
     phases, slot_map = _free_maps(spectrum, dt)
-    buf[..., :d, :] *= phases
+    buf *= phases
     slots = buf[:d]
     slots[...] = np.dot(slot_map, slots.reshape(d, slots[0].size), out=scratch).reshape(slots.shape)
 
@@ -387,8 +389,15 @@ def execute_schedule(
 
     Every step fires in place on one copy (module notes); ``state.amps`` is never written.
     """
-    d, t = state.d, state.t
     buf = np.moveaxis(state.amps, -2, 0).copy()
+    t = _fire_in_place(buf, state.t, steps, params, spectrum)
+    return JointIonState(state.d, np.moveaxis(buf, 0, -2).copy(), t)
+
+
+def _fire_in_place(buf: np.ndarray, t: float, steps: list[PulseStep], params: TrapParams,
+                   spectrum: RydbergSpectrum) -> float:
+    """Fire the steps in order on a target-leading buffer at time t; returns the new time."""
+    d = buf.shape[0] - 2
     amps = np.moveaxis(buf, 0, -2)
     scratch = np.empty((d, buf[0].size), dtype=np.complex128)
     for step in steps:
@@ -406,7 +415,7 @@ def execute_schedule(
             _sideband_in_place(amps, d, step.target_level, math.pi)
         else:
             _aux_in_place(amps, d, step.detuning, params.omega_ge, step.multiplicity)
-    return JointIonState(d, amps.copy(), t)
+    return t
 
 
 def _plan_run_times(
@@ -569,7 +578,7 @@ def verify_hybrid_gate(
     free-evolution phases are removed by evolving back through the total
     duration, and the resulting matrix is compared to the diagonal target
     exp(i phi[j, k]). The schedule is the one :func:`build_phase_gate_schedule`
-    returns, executed one five-pulse run at a time. Reports the process
+    returns, fired one five-pulse run at a time on one buffer. Reports the process
     fidelity |Tr(target^dag M)|^2 / d^4 (global-phase invariant), per-branch
     phase errors after removing the common phase, and the worst trap
     population left behind by any single run on any single basis state.
@@ -586,17 +595,16 @@ def verify_hybrid_gate(
     )
     target_diag = np.exp(1j * hybrid_phase_targets(d, m - l).ravel())
 
-    # stack index j0*d + k0 holds basis state (j0, k0), i.e. column j0*d + k0
+    # stack index j0*d + k0 holds basis state (j0, k0), i.e. column j0*d + k0, in one buffer
     col = np.arange(d * d)
-    amps = np.zeros((d * d, d + 1, d + 2, 2), dtype=np.complex128)
-    amps[col, col // d, col % d, 0] = 1.0
-    state = JointIonState(d, amps)
-    residual_max = 0.0
+    buf = np.zeros((d + 2, d * d, d + 1, 2), dtype=np.complex128)
+    buf[col % d, col, col // d, 0] = 1.0
+    amps = np.moveaxis(buf, 0, -2)
+    t, residual_max = 0.0, 0.0
     for start in range(0, len(steps), 5):
-        state = execute_schedule(state, steps[start : start + 5], params, spectrum)
-        residual_max = max(residual_max, float(state.trap_excited_population().max()))
-    duration = state.t
-    state = free_evolve_joint(state, spectrum, -state.t)
+        t = _fire_in_place(buf, t, steps[start : start + 5], params, spectrum)
+        residual_max = max(residual_max, float(JointIonState(d, amps, t).trap_excited_population().max()))
+    state = free_evolve_joint(JointIonState(d, amps, t), spectrum, -t)
     matrix = state.hybrid_block().reshape(d * d, d * d).T
 
     overlap = np.vdot(target_diag, np.diag(matrix))
@@ -613,7 +621,7 @@ def verify_hybrid_gate(
         max_branch_phase_error=float(branch_err.max()),
         per_branch_phase_error=[float(x) for x in branch_err],
         trap_residual_max=residual_max,
-        total_duration=duration,
+        total_duration=t,
         multiplicity=multiplicity,
         kepler_periods=kepler_periods,
         truncation=spectrum.truncation,

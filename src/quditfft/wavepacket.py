@@ -114,16 +114,23 @@ def wavepacket_basis_matrix(d: int) -> np.ndarray:
     Fourier kernel, built once per d and read-only. Every call checks the
     register cap first: ``ValueError`` when d*d exceeds it.
     """
+    return _packet_matrices(d)[0]
+
+
+def _packet_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (U, U†) under the register cap; U† is the transposed view of a cached conj(U)."""
     check_amplitude_count((d, d), f"{d}x{d} wave-packet kernel")
     return _packet_matrix(d)
 
 
 @functools.lru_cache(maxsize=16)
-def _packet_matrix(d: int) -> np.ndarray:
+def _packet_matrix(d: int) -> tuple[np.ndarray, np.ndarray]:
     digits = np.arange(d)
     u = dft_kernel(d, digits, digits, sign=-1)
-    u.setflags(write=False)
-    return u
+    u_conj = u.conj()
+    for m in (u, u_conj):
+        m.setflags(write=False)
+    return u, u_conj.T  # the strides of a fresh ``u.conj().T``, so BLAS gets the same call
 
 
 @dataclass(frozen=True)
@@ -168,11 +175,8 @@ def change_basis(v: AmplitudeVector, to: str) -> AmplitudeVector:
         raise ValueError(f"basis must be {ENERGY!r} or {WAVEPACKET!r}, got {to!r}")
     if v.basis == to:
         return v
-    u = wavepacket_basis_matrix(v.d)
-    if to == WAVEPACKET:
-        amps = u.conj().T @ v.amps
-    else:
-        amps = u @ v.amps
+    u, u_dag = _packet_matrices(v.d)
+    amps = (u_dag if to == WAVEPACKET else u) @ v.amps
     return AmplitudeVector(to, amps)
 
 
@@ -193,9 +197,9 @@ def free_evolve(v: AmplitudeVector, spectrum: RydbergSpectrum,
     if v.basis == ENERGY:
         amps = v.amps * phases
     else:
-        u = wavepacket_basis_matrix(v.d)
+        u, u_dag = _packet_matrices(v.d)
         # a batched matvec per time, not one GEMM, so each row rounds like a lone call
-        amps = (u.conj().T @ (phases * (u @ v.amps))[..., None])[..., 0]
+        amps = (u_dag @ (phases * (u @ v.amps))[..., None])[..., 0]
     if times.ndim == 0:
         return AmplitudeVector(v.basis, amps)
     return [AmplitudeVector(v.basis, row) for row in amps]
@@ -204,8 +208,8 @@ def free_evolve(v: AmplitudeVector, spectrum: RydbergSpectrum,
 def free_evolution_maps(spectrum: RydbergSpectrum, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(level phases exp(-i (ω_j - ω_0) dt), packet-basis map U† diag(phases) U) for one dt."""
     phases = np.exp(-1j * spectrum.frequency_offsets() * dt)
-    u = wavepacket_basis_matrix(spectrum.d)
-    return phases, u.conj().T @ (phases[:, None] * u)
+    u, u_dag = _packet_matrices(spectrum.d)
+    return phases, u_dag @ (phases[:, None] * u)
 
 
 def dispersion_fidelity(v: AmplitudeVector, spectrum: RydbergSpectrum, dt: float) -> float:

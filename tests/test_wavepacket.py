@@ -12,6 +12,7 @@ from quditfft import (
     level_offsets,
     wavepacket_basis_matrix,
 )
+from quditfft import wavepacket
 from quditfft.wavepacket import ENERGY, KEPLER, REVIVAL, SUPER_REVIVAL, WAVEPACKET
 
 
@@ -180,6 +181,27 @@ def test_packet_matrix_is_cached_read_only_and_still_capped(monkeypatch):
     monkeypatch.setenv("QUDITFFT_MAX_AMPS", "16")
     with pytest.raises(ValueError, match="QUDITFFT_MAX_AMPS"):
         wavepacket_basis_matrix(5)
+
+
+@pytest.mark.parametrize("d", [3, 64, 1024])
+def test_cached_adjoint_is_read_only_and_bit_equal_to_a_fresh_conjugate(d):
+    u, u_dag = wavepacket._packet_matrices(d)
+    assert u is wavepacket_basis_matrix(d) and wavepacket._packet_matrices(d)[1] is u_dag
+    assert not u_dag.flags.writeable
+    with pytest.raises(ValueError):
+        u_dag[0, 0] = 0.0
+    fresh = u.conj().T
+    assert u_dag.strides == fresh.strides
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    packet = change_basis(AmplitudeVector(ENERGY, x), WAVEPACKET).amps
+    assert np.array_equal(packet.view(np.int64), (fresh @ x).view(np.int64))
+    spectrum = RydbergSpectrum(3, d, t_rev=40.0 * d, truncation=REVIVAL)
+    phases = np.exp(-1j * spectrum.frequency_offsets() * 17.5)
+    moved = free_evolve(AmplitudeVector(WAVEPACKET, x), spectrum, 17.5).amps
+    assert np.array_equal(moved.view(np.int64), (fresh @ (phases * (u @ x))[..., None])[..., 0].view(np.int64))
+    slot_map = wavepacket.free_evolution_maps(spectrum, 17.5)[1]
+    assert np.array_equal(slot_map.view(np.int64), (fresh @ (phases[:, None] * u)).view(np.int64))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
