@@ -27,9 +27,6 @@ from .iontrap import (
     JointIonState,
     PulseStep,
     TrapParams,
-    apply_aux_pulse,
-    apply_packet_swap,
-    apply_sideband_pulse,
     aux_cycle_phase,
     build_phase_gate_schedule,
     build_run_steps,
@@ -84,12 +81,9 @@ __all__ = [
     "RydbergSpectrum",
     "TrapParams",
     "accumulated_phase_turns",
-    "apply_aux_pulse",
     "apply_fourier_gate",
-    "apply_packet_swap",
     "apply_phase_gate",
     "apply_sequence",
-    "apply_sideband_pulse",
     "aux_cycle_phase",
     "basis_state",
     "build_fft_sequence",

@@ -121,13 +121,14 @@ class RunConfig:
             raise ConfigurationError(
                 f"pulse_shape must be one of {PULSE_SHAPES}, got {self.pulse_shape!r}"
             )
-        # the spectrum and trap fields are checked in every mode, by the rules their layers apply
+        # the spectrum, trap and register fields are checked in every mode, by the rules their layers apply
         try:
             _spectrum_from(self)
             TrapParams(omega_ge=self.omega_ge)
             check_multiplicity(self.multiplicity)
             check_kepler_periods(self.kepler_periods)
             check_gate_qudits(self.control_index, self.target_index, self.trap_q)
+            RegisterShape(self.d, self.trap_q)  # trap_q >= q, so this caps the gate register too
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
 

@@ -33,9 +33,9 @@ Conventions and idealizations:
   * Rotating frame: band amplitudes rotate at the spectrum's frequency
     offsets; both ionic ground states, the auxiliary level, and the trap
     mode carry no free phase.
-  * Pulses are instantaneous area-parametrized maps at their nominal times;
-    between pulses the state evolves freely (control band: diagonal phases;
-    target packet slots: the dual-basis image of those phases).
+  * Pulses are instantaneous maps at their nominal times (swaps and sidebands
+    are pi pulses); between pulses the state evolves freely (control band:
+    diagonal phases; target packet slots: the dual-basis image of those phases).
   * The sideband resolves single band levels and the trap is hard-capped at
     one phonon; populations that would leave the cap raise ContractError.
   * A state may carry leading batch axes, amps of shape (..., d+1, d+2, 2),
@@ -45,10 +45,11 @@ Conventions and idealizations:
   * ``execute_schedule`` copies its input once into a target-first buffer
     (d+2, ..., d+1, 2): free evolution multiplies whole contiguous (d+1, 2)
     rows by one phase row and runs one GEMM on the (d, M) slot rows, each
-    pulse writes its two rows in place, and one fresh state comes out. The
-    input is never written. ``verify_hybrid_gate`` fires the schedule run by
-    run on one such buffer of all d*d hybrid basis states and reads the trap
-    row from it after each run.
+    pulse writes its two rows of that buffer in place, and one fresh state
+    comes out. No other code applies a pulse map, and the public layout is
+    read only at the state boundary. The input is never written.
+    ``verify_hybrid_gate`` fires the schedule run by run on one such buffer
+    of all d*d hybrid basis states and reads the trap row after each run.
   * While an amplitude is parked in a ground state it stops accruing band
     phase. With the default two-Kepler-period run the park windows span whole
     Kepler periods, so plain free-evolution compensation is exact run by run;
@@ -197,78 +198,57 @@ def free_evolve_joint(state: JointIonState, spectrum: RydbergSpectrum, dt: float
     return JointIonState(state.d, np.moveaxis(buf, 0, -2).copy(), state.t + dt)
 
 
-def _swap_pair(a: np.ndarray, b: np.ndarray, area: float, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp[sign * i (area/2) sigma_x] applied to the amplitude pair (a, b)."""
-    c = math.cos(area / 2.0)
-    s = math.sin(area / 2.0)
+def _swap_pair(a: np.ndarray, b: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp[sign * i (pi/2) sigma_x] applied to the amplitude pair (a, b): a factor sign*i each way."""
+    c = math.cos(math.pi / 2.0)
+    s = math.sin(math.pi / 2.0)
     return c * a + sign * 1j * s * b, sign * 1j * s * a + c * b
 
 
-def _require_within_cap(stranded_amps: np.ndarray, where: str, pulse: str) -> None:
+def _require_within_cap(stranded_amps: np.ndarray, axis: int, where: str, pulse: str) -> None:
     """ContractError if any single state holds more than EPS_STATE in ``where``.
 
-    ``stranded_amps`` is (..., n): the last axis runs over one state's
-    amplitudes in the doubly excited subspace, the rest over the stack.
+    ``axis`` of ``stranded_amps`` runs over one state's amplitudes in the
+    doubly excited subspace, the other axes over the stack.
     """
-    worst = float((np.abs(stranded_amps) ** 2).sum(axis=-1).max())
+    worst = float((np.abs(stranded_amps) ** 2).sum(axis=axis).max())
     if worst > EPS_STATE:
         raise ContractError(
             f"population {worst:.3e} in {where} would leave the single-phonon cap under {pulse}"
         )
 
 
-def apply_packet_swap(state: JointIonState, area: float = math.pi) -> JointIonState:
-    """Core swap pulse on the target ion: rotate {slot 0, ground} by ``area``.
+def _packet_swap_in_place(buf: np.ndarray, d: int) -> None:
+    """Core swap on the target ion, in place on buf[target, ..., control, phonon]:
+    exp[+i (pi/2) sigma_x] on {slot 0 (the core packet), ground}."""
+    buf[0], buf[d] = _swap_pair(buf[0], buf[d], +1.0)
 
-    The map is exp[+i (area/2) sigma_x] on the two-dimensional subspace; a pi
-    area exchanges the pair with a factor i each way. Slot 0 is the core
-    packet, the one at the inner turning point. The control ion and the trap
-    mode are spectators.
+
+def _sideband_in_place(buf: np.ndarray, d: int, level_digit: int) -> None:
+    """Control-ion sideband exp[-i (pi/2) sigma_x] on {|level, 0 phonons>, |ground, 1 phonon>}.
+
+    ContractError if any state holds more than EPS_STATE in |level, 1 phonon>,
+    which would be driven toward a second phonon the model cannot represent.
     """
-    amps = state.amps.copy()
-    _packet_swap_in_place(amps, state.d, area)
-    return JointIonState(state.d, amps, state.t)
-
-
-def _packet_swap_in_place(amps: np.ndarray, d: int, area: float) -> None:
-    a, b = amps[..., :, 0, :], amps[..., :, d, :]
-    amps[..., :, 0, :], amps[..., :, d, :] = _swap_pair(a, b, area, +1.0)
-
-
-def apply_sideband_pulse(state: JointIonState, level_digit: int, area: float = math.pi) -> JointIonState:
-    """Phonon sideband on the control ion: {|level, 0 phonons>, |ground, 1 phonon>}.
-
-    The map is exp[-i (area/2) sigma_x]; a pi area exchanges the pair with a
-    factor -i each way. Population in |level, 1 phonon> would be driven
-    toward a second phonon, which the model cannot represent, so it raises
-    ContractError if any state of the stack holds more than EPS_STATE there.
-    """
-    amps = state.amps.copy()
-    _sideband_in_place(amps, state.d, level_digit, area)
-    return JointIonState(state.d, amps, state.t)
-
-
-def _sideband_in_place(amps: np.ndarray, d: int, level_digit: int, area: float) -> None:
     if not 0 <= level_digit < d:
         raise ValueError(f"level digit must be in [0, {d}), got {level_digit}")
     _require_within_cap(
-        amps[..., level_digit, :, 1], f"|level {level_digit}, 1 phonon>", "a sideband pulse"
+        buf[..., level_digit, 1], 0, f"|level {level_digit}, 1 phonon>", "a sideband pulse"
     )
-    a, b = amps[..., level_digit, :, 0], amps[..., d, :, 1]
-    amps[..., level_digit, :, 0], amps[..., d, :, 1] = _swap_pair(a, b, area, -1.0)
+    buf[..., level_digit, 0], buf[..., d, 1] = _swap_pair(buf[..., level_digit, 0], buf[..., d, 1], -1.0)
 
 
 def check_multiplicity(multiplicity: int) -> int:
     """The auxiliary drive runs a whole number p >= 1 of cycles; returns p."""
-    if multiplicity < 1 or multiplicity != int(multiplicity):
-        raise ValueError(f"multiplicity must be a positive integer, got {multiplicity}")
+    if not 1 <= multiplicity < math.inf or multiplicity != int(multiplicity):
+        raise ValueError(f"multiplicity must be a positive finite integer, got {multiplicity}")
     return int(multiplicity)
 
 
 def check_kepler_periods(kepler_periods: float) -> None:
     """A run spans at least one Kepler period (a fractional count only warns)."""
-    if kepler_periods < 1:
-        raise ValueError(f"kepler_periods must be at least 1, got {kepler_periods}")
+    if not 1 <= kepler_periods < math.inf:
+        raise ValueError(f"kepler_periods must be finite and at least 1, got {kepler_periods}")
 
 
 def check_gate_qudits(l: int, m: int, q: int) -> None:
@@ -293,8 +273,10 @@ def solve_aux_detuning(phi: float, omega_ge: float, multiplicity: int = 1) -> fl
     omega_ge, returns the one of smallest magnitude, preferring the positive
     sign on a tie.
     """
-    if omega_ge <= 0:
-        raise ValueError(f"omega_ge must be positive, got {omega_ge}")
+    if not 0 < omega_ge < math.inf:
+        raise ValueError(f"omega_ge must be positive and finite, got {omega_ge}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got {phi}")
     p = check_multiplicity(multiplicity)
     base = phi / (p * math.pi) - 1.0
     # Admissible ratios x = detuning/omega_ge are base + 2n/p within [-1, 1].
@@ -312,12 +294,7 @@ def solve_aux_detuning(phi: float, omega_ge: float, multiplicity: int = 1) -> fl
     return best * omega_ge
 
 
-def apply_aux_pulse(
-    state: JointIonState,
-    detuning: float,
-    omega_ge: float,
-    multiplicity: int = 1,
-) -> JointIonState:
+def _aux_in_place(buf: np.ndarray, d: int, detuning: float, omega_ge: float, multiplicity: int) -> None:
     """Detuned auxiliary drive completing whole generalized Rabi cycles.
 
     Acts on {|target ground, 1 phonon>, |aux excited, 0 phonons>} with
@@ -325,23 +302,15 @@ def apply_aux_pulse(
     detuning^2, for a duration of ``multiplicity`` full cycles
     (2 pi p / omega_ge). Populations return where they started and both
     states gain the phase from :func:`aux_cycle_phase`. Population in
-    |aux excited, 1 phonon> would leave the phonon cap and raises
-    ContractError if any state of the stack holds more than EPS_STATE there.
+    |aux excited, 1 phonon> would leave the phonon cap: ContractError if any
+    state holds more than EPS_STATE there.
     """
-    amps = state.amps.copy()
-    _aux_in_place(amps, state.d, detuning, omega_ge, multiplicity)
-    return JointIonState(state.d, amps, state.t)
-
-
-def _aux_in_place(amps: np.ndarray, d: int, detuning: float, omega_ge: float, multiplicity: int) -> None:
-    if omega_ge <= 0:
-        raise ValueError(f"omega_ge must be positive, got {omega_ge}")
     if not abs(detuning) <= omega_ge:
         raise ValueError(
             f"|detuning|={abs(detuning)} exceeds omega_ge={omega_ge}; no real coupling exists"
         )
     p = check_multiplicity(multiplicity)
-    _require_within_cap(amps[..., :, d + 1, 1], "|aux excited, 1 phonon>", "the auxiliary drive")
+    _require_within_cap(buf[d + 1][..., 1], -1, "|aux excited, 1 phonon>", "the auxiliary drive")
     coupling = math.sqrt(max(omega_ge**2 - detuning**2, 0.0))
     duration = 2.0 * math.pi * p / omega_ge
     half = omega_ge * duration / 2.0  # = pi * p
@@ -350,8 +319,8 @@ def _aux_in_place(amps: np.ndarray, d: int, detuning: float, omega_ge: float, mu
     # exp(+i detuning T / 2) and the remaining SU(2) rotation.
     tilt, mix = 1j * s * detuning / omega_ge, -1j * s * coupling / omega_ge
     u2 = np.exp(0.5j * detuning * duration) * np.array([[c - tilt, mix], [mix, c + tilt]])
-    a, b = amps[..., :, d, 1], amps[..., :, d + 1, 0]
-    amps[..., :, d, 1], amps[..., :, d + 1, 0] = u2[0, 0] * a + u2[0, 1] * b, u2[1, 0] * a + u2[1, 1] * b
+    a, b = buf[d][..., 1], buf[d + 1][..., 0]
+    buf[d][..., 1], buf[d + 1][..., 0] = u2[0, 0] * a + u2[0, 1] * b, u2[1, 0] * a + u2[1, 1] * b
 
 
 @dataclass(frozen=True)
@@ -398,7 +367,6 @@ def _fire_in_place(buf: np.ndarray, t: float, steps: list[PulseStep], params: Tr
                    spectrum: RydbergSpectrum) -> float:
     """Fire the steps in order on a target-leading buffer at time t; returns the new time."""
     d = buf.shape[0] - 2
-    amps = np.moveaxis(buf, 0, -2)
     scratch = np.empty((d, buf[0].size), dtype=np.complex128)
     for step in steps:
         if step.time < t - 1e-9:
@@ -410,11 +378,11 @@ def _fire_in_place(buf: np.ndarray, t: float, steps: list[PulseStep], params: Tr
         _free_evolve_in_place(buf, spectrum, dt, scratch)
         t = t + dt
         if step.kind == "packet_swap":
-            _packet_swap_in_place(amps, d, math.pi)
+            _packet_swap_in_place(buf, d)
         elif step.kind == "sideband":
-            _sideband_in_place(amps, d, step.target_level, math.pi)
+            _sideband_in_place(buf, d, step.target_level)
         else:
-            _aux_in_place(amps, d, step.detuning, params.omega_ge, step.multiplicity)
+            _aux_in_place(buf, d, step.detuning, params.omega_ge, step.multiplicity)
     return t
 
 
@@ -466,6 +434,8 @@ def build_run_steps(
     if not 0 <= packet_slot < d:
         raise ValueError(f"packet slot must be in [0, {d}), got {packet_slot}")
     check_kepler_periods(kepler_periods)
+    if not (math.isfinite(t_min) and math.isfinite(t_ref)):
+        raise ValueError(f"t_min and t_ref must be finite, got {t_min} and {t_ref}")
     if kepler_periods != int(kepler_periods):
         warnings.warn(
             f"kepler_periods={kepler_periods} is not an integer; the closing swap "

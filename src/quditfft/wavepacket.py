@@ -93,11 +93,8 @@ class RydbergSpectrum:
         """Kepler orbital period 2π n̄³ (atomic units)."""
         return 2.0 * np.pi * self.n_bar**3
 
-    def frequency_offsets(self, truncation: str | None = None) -> np.ndarray:
+    def frequency_offsets(self) -> np.ndarray:
         """ω_j - ω_0 for each level, indexed by digit, honoring the truncation."""
-        if truncation not in (None, self.truncation):
-            # the spectrum under the other truncation checks that its terms are set
-            return replace(self, truncation=truncation).frequency_offsets()
         j = level_offsets(self.d).astype(np.float64)
         omega = j / self.t_kepler
         if self.truncation in (REVIVAL, SUPER_REVIVAL):

@@ -14,12 +14,13 @@ from quditfft import (
     AtomState,
     JointIonState,
     PulseProfile,
+    PulseStep,
     RabiCouplings,
     RegisterShape,
     RydbergSpectrum,
     TrapParams,
-    apply_aux_pulse,
     change_basis,
+    execute_schedule,
     fourier_gate_matrix,
     free_evolve,
     integrate_two_level,
@@ -224,13 +225,15 @@ def test_criterion_08_ion_trap_protocol():
 def test_criterion_09_detuning_solver():
     d = 3
     omega = 50.0
+    params, spectrum = TrapParams(omega_ge=omega), RydbergSpectrum(2, d)
     worst = 0.0
     for i in range(16):
         phi = 2.0 * math.pi * i / 16.0
         detuning = solve_aux_detuning(phi, omega)
         amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
         amps[0, d, 1] = 1.0  # |target ground, one phonon>
-        out = apply_aux_pulse(JointIonState(d, amps), detuning, omega)
+        # one aux step at the state's own time: no free evolution runs
+        out = execute_schedule(JointIonState(d, amps), [PulseStep("aux", 0.0, detuning=detuning)], params, spectrum)
         amp = out.amps[0, d, 1]
         err = abs((np.angle(amp) - phi + math.pi) % (2.0 * math.pi) - math.pi)
         worst = max(worst, err, abs(abs(amp) - 1.0))

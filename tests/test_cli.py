@@ -229,6 +229,18 @@ def test_register_cap_env_var_guards_cli(tmp_path, capsys, monkeypatch):
     assert "QUDITFFT_MAX_AMPS" in err
 
 
+@pytest.mark.parametrize("extra", [{"q": 100000000}, {"target_index": 1000000}])
+def test_register_cap_exits_two_in_every_mode(tmp_path, capsys, extra):
+    # the gate register d**q and the trap register d**trap_q are capped even where no mode builds them
+    cfg = tmp_path / "cfg.json"
+    for mode in MODES:
+        cfg.write_text(json.dumps({"mode": mode, **extra}))
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "QUDITFFT_MAX_AMPS" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -13,9 +13,6 @@ from quditfft import (
     RegisterShape,
     RydbergSpectrum,
     TrapParams,
-    apply_aux_pulse,
-    apply_packet_swap,
-    apply_sideband_pulse,
     aux_cycle_phase,
     build_phase_gate_schedule,
     build_run_steps,
@@ -29,6 +26,12 @@ from quditfft import (
 )
 from quditfft import iontrap as iontrap_module
 from quditfft.constants import EPS_FIDELITY
+
+
+def fire(state, kind, params=TrapParams(), **fields):
+    """One pulse at the state's own time through execute_schedule: dt is 0, so no free evolution runs."""
+    step = PulseStep(kind, state.t, **fields)
+    return execute_schedule(state, [step], params, RydbergSpectrum(2, state.d))
 
 
 def one_run(state, level_digit, packet_slot, phase, params, spectrum, kepler_periods=2):
@@ -123,31 +126,31 @@ def test_free_evolve_joint_cycles_target_packets():
 def test_packet_swap_exchanges_core_and_ground_on_target():
     d = 3
     state = JointIonState.hybrid_basis(d, 1, 0)
-    out = apply_packet_swap(state)
+    out = fire(state, "packet_swap")
     # pi area: |slot 0> -> i |ground>
     assert_allclose(out.amps[1, d, 0], 1j, atol=1e-15)
     assert_allclose(out.amps[1, 0, 0], 0.0, atol=1e-15)
     # and back, for a net -1 on the pair
-    back = apply_packet_swap(out)
+    back = fire(out, "packet_swap")
     assert_allclose(back.amps[1, 0, 0], -1.0, atol=1e-15)
     # other slots are untouched
-    other = apply_packet_swap(JointIonState.hybrid_basis(d, 1, 2))
+    other = fire(JointIonState.hybrid_basis(d, 1, 2), "packet_swap")
     assert_allclose(other.amps[1, 2, 0], 1.0, atol=1e-15)
 
 
 def test_sideband_moves_level_population_onto_phonon():
     d = 3
     state = JointIonState.hybrid_basis(d, 1, 2)
-    out = apply_sideband_pulse(state, 1)
+    out = fire(state, "sideband", target_level=1)
     # pi area with the opposite rotation sense: |level 1, 0> -> -i |ground, 1>
     assert_allclose(out.amps[d, 2, 1], -1j, atol=1e-15)
-    back = apply_sideband_pulse(out, 1)
+    back = fire(out, "sideband", target_level=1)
     assert_allclose(back.amps[1, 2, 0], -1.0, atol=1e-15)
     # other control levels do not couple
-    spectator = apply_sideband_pulse(state, 0)
+    spectator = fire(state, "sideband", target_level=0)
     assert_allclose(spectator.amps, state.amps, atol=1e-15)
     with pytest.raises(ValueError):
-        apply_sideband_pulse(state, 3)
+        fire(state, "sideband", target_level=3)
 
 
 def test_sideband_rejects_population_beyond_phonon_cap():
@@ -156,9 +159,9 @@ def test_sideband_rejects_population_beyond_phonon_cap():
     amps[1, 0, 1] = 1.0  # level 1 with the trap already excited
     state = JointIonState(d, amps)
     with pytest.raises(ContractError):
-        apply_sideband_pulse(state, 1)
+        fire(state, "sideband", target_level=1)
     # other levels may still be addressed
-    apply_sideband_pulse(state, 0)
+    fire(state, "sideband", target_level=0)
 
 
 def test_aux_cycle_phase_and_solver_examples():
@@ -188,7 +191,7 @@ def test_aux_pulse_imprints_dialed_phase():
         det = solve_aux_detuning(phi, omega)
         amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
         amps[0, d, 1] = 1.0  # |target ground, 1 phonon>
-        out = apply_aux_pulse(JointIonState(d, amps), det, omega)
+        out = fire(JointIonState(d, amps), "aux", TrapParams(omega), detuning=det)
         amp = out.amps[0, d, 1]
         assert_allclose(abs(amp), 1.0, atol=1e-12)
         assert_allclose(
@@ -201,13 +204,13 @@ def test_aux_pulse_contracts():
     amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
     amps[0, d + 1, 1] = 1.0  # aux excited with a phonon: outside the model
     with pytest.raises(ContractError):
-        apply_aux_pulse(JointIonState(d, amps), 0.0, 50.0)
+        fire(JointIonState(d, amps), "aux", TrapParams(50.0), detuning=0.0)
     good = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
     good[0, d, 1] = 1.0
     with pytest.raises(ValueError):
-        apply_aux_pulse(JointIonState(d, good), 60.0, 50.0)
+        fire(JointIonState(d, good), "aux", TrapParams(50.0), detuning=60.0)
     with pytest.raises(ValueError):
-        apply_aux_pulse(JointIonState(d, good), 0.0, 50.0, multiplicity=0)
+        fire(JointIonState(d, good), "aux", TrapParams(50.0), detuning=0.0, multiplicity=0)
 
 
 def test_pulse_step_validation():
@@ -504,9 +507,9 @@ def test_phonon_cap_contract_is_checked_per_state():
     stack = _stack_with_stranded(d, stranded)
     stack.require_normalized()
     with pytest.raises(ContractError):
-        apply_sideband_pulse(stack, 1)
+        fire(stack, "sideband", target_level=1)
     with pytest.raises(ContractError):
-        apply_aux_pulse(stack, 0.0, 50.0)
+        fire(stack, "aux", TrapParams(50.0), detuning=0.0)
 
 
 def test_phonon_cap_contract_does_not_sum_over_the_stack():
@@ -516,8 +519,8 @@ def test_phonon_cap_contract_does_not_sum_over_the_stack():
     assert stranded.sum() > EPS_STATE
     stack = _stack_with_stranded(d, stranded)
     stack.require_normalized()
-    apply_sideband_pulse(stack, 1)
-    apply_aux_pulse(stack, 0.0, 50.0)
+    fire(stack, "sideband", target_level=1)
+    fire(stack, "aux", TrapParams(50.0), detuning=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -532,7 +535,21 @@ def test_non_finite_times_and_detunings_are_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         PulseStep("aux", 1.0, detuning=bad)
     with pytest.raises(ValueError):
-        apply_aux_pulse(state, bad, params.omega_ge)
+        fire(state, "aux", params, detuning=bad)
+    with pytest.raises(ValueError, match="finite"):
+        solve_aux_detuning(bad, params.omega_ge)
+    with pytest.raises(ValueError, match="finite"):
+        solve_aux_detuning(1.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        solve_aux_detuning(1.0, params.omega_ge, multiplicity=bad)
+    with pytest.raises(ValueError, match="finite"):
+        build_run_steps(1, 1, 0.5, d, params, spectrum, kepler_periods=bad)
+    with pytest.raises(ValueError, match="finite"):
+        build_run_steps(1, 1, 0.5, d, params, spectrum, t_min=bad)
+    with pytest.raises(ValueError, match="finite"):
+        build_run_steps(1, 1, 0.5, d, params, spectrum, t_ref=bad)
+    with pytest.raises(ValueError, match="finite"):
+        build_phase_gate_schedule(0, 1, RegisterShape(d, 2), params, spectrum, t0=bad)
     with pytest.raises(ValueError):
         execute_schedule(JointIonState(d, state.amps, bad), [PulseStep("packet_swap", 1.0)], params, spectrum)
 
