@@ -26,30 +26,35 @@ pure diagonal phase gate.
 
 There is one schedule path: ``build_phase_gate_schedule`` lists the 5*d*d
 pulses of the composed gate and one private loop fires them, for
-``execute_schedule`` and ``verify_hybrid_gate`` alike. Core swaps act only on
-the target ion: the control ion stays in the energy basis throughout.
+``execute_schedule`` and ``verify_hybrid_gate`` alike.
 
 Conventions and idealizations:
   * Rotating frame: band amplitudes rotate at the spectrum's frequency
-    offsets; both ionic ground states, the auxiliary level, and the trap
-    mode carry no free phase.
-  * Pulses are instantaneous maps at their nominal times (swaps and sidebands
-    are pi pulses); between pulses the state evolves freely (control band:
-    diagonal phases; target packet slots: the dual-basis image of those phases).
-  * The sideband resolves single band levels and the trap is hard-capped at
-    one phonon; populations that would leave the cap raise ContractError.
-  * A state may carry leading batch axes, amps of shape (..., d+1, d+2, 2),
-    the same (..., N) idiom the gate layer uses. Every map acts on each state
-    of the stack independently, and every contract (phonon cap, norm) is
-    checked per state: the worst state decides, never the sum over the stack.
-  * ``execute_schedule`` copies its input once into a target-first buffer
-    (d+2, ..., d+1, 2): free evolution multiplies whole contiguous (d+1, 2)
-    rows by one phase row and runs one GEMM on the (d, M) slot rows, each
-    pulse writes its two rows of that buffer in place, and one fresh state
-    comes out. No other code applies a pulse map, and the public layout is
-    read only at the state boundary. The input is never written.
-    ``verify_hybrid_gate`` fires the schedule run by run on one such buffer
-    of all d*d hybrid basis states and reads the trap row after each run.
+    offsets w_j; both ionic ground states, the auxiliary level, and the trap
+    mode carry no free phase. Pulses are instantaneous maps at their nominal
+    times (swaps and sidebands are pi pulses), and the trap is hard-capped at
+    one phonon: populations that would leave the cap raise ContractError.
+  * A state may carry leading batch axes, amps of shape (..., d+1, d+2, 2).
+    Every map acts on each state of the stack on its own, and every contract
+    (phonon cap, norm) is checked per state, never on the sum over the stack.
+  * The executor works in the interaction frame of the free level phases of
+    both ions, the frame in which Cirac & Zoller (PRL 74, 4091, 1995) write
+    the laser-ion coupling. It copies its input once into a target-leading
+    buffer (d+2, ..., d+1, 2) whose target rows 0..d-1 hold the energy
+    amplitudes e~_j = exp(+i w_j tau) e_j, e = U b (U the packet matrix,
+    tau the time since the schedule's start); the control levels carry the
+    same factor. Free evolution is the identity there, so only pulses act:
+    a core swap is the pi pulse on (a = c^dag e~, target ground) with
+    c_j = U[j, 0] exp(+i w_j tau), then the rank-one update e~ += c (a' - a);
+    a sideband on level j gains exp(+i w_j tau) on the entry into |j, 0> and
+    exp(-i w_j tau) on the entry into |ground, 1>; the auxiliary drive is
+    unchanged. Every phase and 2x2 map of a schedule is made before the first
+    pulse fires, each phase argument w_j tau reduced mod 2 pi from its exact
+    float product. U and U^dag appear only at the state boundary; the input
+    is never written. ``verify_hybrid_gate`` loads U[:, k0] for the d*d basis
+    states (j0, k0) into one such buffer, fires the schedule run by run,
+    reads the trap row after each run, and reads its process matrix as
+    U^dag e~, the final state evolved back to tau = 0.
   * While an amplitude is parked in a ground state it stops accruing band
     phase. With the default two-Kepler-period run the park windows span whole
     Kepler periods, so plain free-evolution compensation is exact run by run;
@@ -58,7 +63,7 @@ Conventions and idealizations:
 """
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -68,9 +73,11 @@ import numpy as np
 from .constants import EPS_STATE
 from .errors import ContractError, require_unit_norm
 from .register import RegisterShape, check_amplitude_count
-from .wavepacket import RydbergSpectrum, free_evolution_maps, level_offsets
+from .wavepacket import RydbergSpectrum, _packet_matrices, level_offsets
 
 PULSE_KINDS = ("packet_swap", "sideband", "aux")
+_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
+_UPDATE_BYTES = 1 << 18  # a swap updates the level rows in blocks whose outer product stays in cache
 
 # Ion axis layout: the control ion uses indices 0..d-1 for band levels in the
 # energy basis and index d for its ground state. The target ion uses 0..d-1
@@ -160,49 +167,44 @@ class JointIonState:
         return self.amps[..., : self.d, : self.d, 0].copy()
 
 
-@functools.lru_cache(maxsize=256)
-def _free_maps(spectrum: RydbergSpectrum, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (control phases, target slot map) for free evolution by dt."""
-    phases, slot_map = free_evolution_maps(spectrum, dt)
-    # a (d+1, 2) row, exactly 1 on the control ground: the multiply runs over whole buffer rows
-    maps = np.repeat(np.append(phases, 1.0)[:, None], 2, axis=1), slot_map
-    for m in maps:
-        m.setflags(write=False)
-    return maps
-
-
-def _free_evolve_in_place(buf: np.ndarray, spectrum: RydbergSpectrum, dt: float, scratch=None) -> None:
-    """Free evolution by dt of a target-leading buffer; ``scratch`` is (d, M) room for the GEMM."""
-    d = buf.shape[0] - 2
+def _to_frame(state: JointIonState, spectrum: RydbergSpectrum) -> np.ndarray:
+    """A target-leading frame buffer of the state, frame time state.t: packet slots b become U b."""
+    d = state.d
     if d != spectrum.d:
         raise ValueError(f"state has d={d} but spectrum has d={spectrum.d}")
-    if not math.isfinite(dt):
-        raise ValueError(f"free evolution needs one finite time, got {dt}")
-    if dt == 0.0:
-        return
-    phases, slot_map = _free_maps(spectrum, dt)
-    buf *= phases
-    slots = buf[:d]
-    slots[...] = np.dot(slot_map, slots.reshape(d, slots[0].size), out=scratch).reshape(slots.shape)
+    buf = np.moveaxis(state.amps, -2, 0).copy()
+    levels = buf[:d].reshape(d, -1)
+    levels[...] = _packet_matrices(d)[0] @ levels
+    return buf
+
+
+def _from_frame(buf: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The public amps of a frame buffer: both ions' levels pick up ``phases``,
+    exp(-i w_j dt) for the dt since the frame time, the target's then go back
+    to packet slots by U^dag."""
+    d = phases.shape[0]
+    levels = buf[:d].reshape(d, -1)
+    levels[...] = _packet_matrices(d)[1] @ (phases[:, None] * levels)
+    buf[..., :d, :] *= phases[:, None]
+    return np.moveaxis(buf, 0, -2).copy()
 
 
 def free_evolve_joint(state: JointIonState, spectrum: RydbergSpectrum, dt: float) -> JointIonState:
     """Free evolution for dt of either sign (negative removes earlier phases).
 
-    Control band levels pick up exp(-i dw_j dt); target packet slots
-    transform by the dual-basis image of the same diagonal. Ground states,
-    the auxiliary level, and the trap mode stay fixed in this frame.
+    Control band levels pick up exp(-i dw_j dt); target packet slots go to
+    levels by U, pick up the same phases and come back by U^dag. Ground
+    states, the auxiliary level, and the trap mode stay fixed in this frame.
     """
-    buf = np.moveaxis(state.amps, -2, 0).copy()
-    _free_evolve_in_place(buf, spectrum, dt)
-    return JointIonState(state.d, np.moveaxis(buf, 0, -2).copy(), state.t + dt)
+    if not math.isfinite(dt):
+        raise ValueError(f"free evolution needs one finite time, got {dt}")
+    phases = np.exp(-1j * spectrum.frequency_offsets() * dt)
+    return JointIonState(state.d, _from_frame(_to_frame(state, spectrum), phases), state.t + dt)
 
 
-def _swap_pair(a: np.ndarray, b: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp[sign * i (pi/2) sigma_x] applied to the amplitude pair (a, b): a factor sign*i each way."""
-    c = math.cos(math.pi / 2.0)
-    s = math.sin(math.pi / 2.0)
-    return c * a + sign * 1j * s * b, sign * 1j * s * a + c * b
+def _rotate(m: tuple, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 map m = (m00, m01, m10, m11) applied to the amplitude pair (a, b)."""
+    return m[0] * a + m[1] * b, m[2] * a + m[3] * b
 
 
 def _require_within_cap(stranded_amps: np.ndarray, axis: int, where: str, pulse: str) -> None:
@@ -216,26 +218,6 @@ def _require_within_cap(stranded_amps: np.ndarray, axis: int, where: str, pulse:
         raise ContractError(
             f"population {worst:.3e} in {where} would leave the single-phonon cap under {pulse}"
         )
-
-
-def _packet_swap_in_place(buf: np.ndarray, d: int) -> None:
-    """Core swap on the target ion, in place on buf[target, ..., control, phonon]:
-    exp[+i (pi/2) sigma_x] on {slot 0 (the core packet), ground}."""
-    buf[0], buf[d] = _swap_pair(buf[0], buf[d], +1.0)
-
-
-def _sideband_in_place(buf: np.ndarray, d: int, level_digit: int) -> None:
-    """Control-ion sideband exp[-i (pi/2) sigma_x] on {|level, 0 phonons>, |ground, 1 phonon>}.
-
-    ContractError if any state holds more than EPS_STATE in |level, 1 phonon>,
-    which would be driven toward a second phonon the model cannot represent.
-    """
-    if not 0 <= level_digit < d:
-        raise ValueError(f"level digit must be in [0, {d}), got {level_digit}")
-    _require_within_cap(
-        buf[..., level_digit, 1], 0, f"|level {level_digit}, 1 phonon>", "a sideband pulse"
-    )
-    buf[..., level_digit, 0], buf[..., d, 1] = _swap_pair(buf[..., level_digit, 0], buf[..., d, 1], -1.0)
 
 
 def check_multiplicity(multiplicity: int) -> int:
@@ -294,23 +276,18 @@ def solve_aux_detuning(phi: float, omega_ge: float, multiplicity: int = 1) -> fl
     return best * omega_ge
 
 
-def _aux_in_place(buf: np.ndarray, d: int, detuning: float, omega_ge: float, multiplicity: int) -> None:
+def _aux_map(detuning: float, omega_ge: float, multiplicity: int) -> tuple[complex, ...]:
     """Detuned auxiliary drive completing whole generalized Rabi cycles.
 
     Acts on {|target ground, 1 phonon>, |aux excited, 0 phonons>} with
     hamiltonian [[0, w_c/2], [w_c/2, -detuning]], w_c^2 = omega_ge^2 -
     detuning^2, for a duration of ``multiplicity`` full cycles
-    (2 pi p / omega_ge). Populations return where they started and both
-    states gain the phase from :func:`aux_cycle_phase`. Population in
-    |aux excited, 1 phonon> would leave the phonon cap: ContractError if any
-    state holds more than EPS_STATE there.
+    (2 pi p / omega_ge), as (m00, m01, m10, m11). Populations return where
+    they started and both states gain the phase from :func:`aux_cycle_phase`.
     """
     if not abs(detuning) <= omega_ge:
-        raise ValueError(
-            f"|detuning|={abs(detuning)} exceeds omega_ge={omega_ge}; no real coupling exists"
-        )
+        raise ValueError(f"|detuning|={abs(detuning)} exceeds omega_ge={omega_ge}; no real coupling exists")
     p = check_multiplicity(multiplicity)
-    _require_within_cap(buf[d + 1][..., 1], -1, "|aux excited, 1 phonon>", "the auxiliary drive")
     coupling = math.sqrt(max(omega_ge**2 - detuning**2, 0.0))
     duration = 2.0 * math.pi * p / omega_ge
     half = omega_ge * duration / 2.0  # = pi * p
@@ -318,9 +295,8 @@ def _aux_in_place(buf: np.ndarray, d: int, detuning: float, omega_ge: float, mul
     # exp(-iHT) on the ordered pair (|g,1>, |e,0>), split into the trace part
     # exp(+i detuning T / 2) and the remaining SU(2) rotation.
     tilt, mix = 1j * s * detuning / omega_ge, -1j * s * coupling / omega_ge
-    u2 = np.exp(0.5j * detuning * duration) * np.array([[c - tilt, mix], [mix, c + tilt]])
-    a, b = buf[d][..., 1], buf[d + 1][..., 0]
-    buf[d][..., 1], buf[d + 1][..., 0] = u2[0, 0] * a + u2[0, 1] * b, u2[1, 0] * a + u2[1, 1] * b
+    trace = cmath.exp(0.5j * detuning * duration)
+    return trace * (c - tilt), trace * mix, trace * mix, trace * (c + tilt)
 
 
 @dataclass(frozen=True)
@@ -348,52 +324,107 @@ class PulseStep:
             raise ValueError(f"time and detuning must be finite, got {self.time} and {self.detuning}")
 
 
-def execute_schedule(
-    state: JointIonState,
-    steps: list[PulseStep],
-    params: TrapParams,
-    spectrum: RydbergSpectrum,
-) -> JointIonState:
-    """Apply the steps in order, free-evolving between their nominal times.
+def execute_schedule(state: JointIonState, steps: list[PulseStep], params: TrapParams,
+                     spectrum: RydbergSpectrum) -> JointIonState:
+    """Apply the steps in order at their nominal times, evolving freely in between.
 
-    Every step fires in place on one copy (module notes); ``state.amps`` is never written.
+    Every step fires in place on one frame copy (module notes); ``state.amps`` is never written.
     """
-    buf = np.moveaxis(state.amps, -2, 0).copy()
-    t = _fire_in_place(buf, state.t, steps, params, spectrum)
-    return JointIonState(state.d, np.moveaxis(buf, 0, -2).copy(), t)
+    maps, t, frame = _pulse_maps(steps, state.t, params, spectrum)
+    buf = _to_frame(state, spectrum)
+    _fire_in_place(buf, maps)
+    return JointIonState(state.d, _from_frame(buf, frame.conj()), t)
 
 
-def _fire_in_place(buf: np.ndarray, t: float, steps: list[PulseStep], params: TrapParams,
-                   spectrum: RydbergSpectrum) -> float:
-    """Fire the steps in order on a target-leading buffer at time t; returns the new time."""
-    d = buf.shape[0] - 2
-    scratch = np.empty((d, buf[0].size), dtype=np.complex128)
+def _frame_phases(spectrum: RydbergSpectrum, times: np.ndarray) -> np.ndarray:
+    """exp(+i w_j tau) for each time tau, shape (len(times), d).
+
+    w_j * tau is reduced mod 2 pi from the exact product of the two floats
+    (Dekker 1971), so a late phase rounds like an early one; the rounded
+    product alone would be off by up to half an ulp of its ~1e4 rad.
+    """
+    w = spectrum.frequency_offsets()
+    x = np.multiply.outer(times, w)
+    (t_hi, t_lo), (w_hi, w_lo) = _split(times[:, None]), _split(w)
+    r = np.fmod(x, 2.0 * math.pi)  # exact
+    turns = np.rint((x - r) / (2.0 * math.pi))
+    r += ((t_hi * w_hi - x) + t_hi * w_lo + t_lo * w_hi) + t_lo * w_lo - turns * _TWO_PI_LO
+    return np.exp(1j * r)
+
+
+def _split(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f = hi + lo exactly, each half with at most 26 significant bits."""
+    hi = 134217729.0 * f  # 2**27 + 1
+    hi -= hi - f
+    return hi, f - hi
+
+
+def _pulse_maps(steps: list[PulseStep], t: float, params: TrapParams,
+                spectrum: RydbergSpectrum) -> tuple[list[tuple], float, np.ndarray]:
+    """(map per step, time after the last step, frame phases there) for a frame buffer at time t.
+
+    Map i is (kind, level, m, core): the 2x2 map m on the step's two rows, the
+    sideband's level, and for a swap the core packet (c, conj(c)) in the
+    frame. Every step is checked here, before any fires.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"a schedule needs a finite start time, got {t}")
+    d, t0, times = spectrum.d, t, [0.0]
     for step in steps:
         if step.time < t - 1e-9:
-            raise ValueError(
-                f"step at t={step.time} lies before the state time {t}; "
-                "schedules must run forward"
-            )
-        dt = step.time - t
-        _free_evolve_in_place(buf, spectrum, dt, scratch)
-        t = t + dt
+            raise ValueError(f"step at t={step.time} lies before the state time {t}; schedules must run forward")
+        t = t + (step.time - t)
+        times.append(t - t0)
+    frames = _frame_phases(spectrum, np.array(times))
+    core = _packet_matrices(d)[0][:, 0] * frames[1:]
+    core_conj = core.conj()
+    c, s = math.cos(math.pi / 2.0), math.sin(math.pi / 2.0)  # pi pulses exp[-+i (pi/2) sigma_x]
+    maps = []
+    for i, step in enumerate(steps):
         if step.kind == "packet_swap":
-            _packet_swap_in_place(buf, d)
+            maps.append((step.kind, None, (c, 1j * s, 1j * s, c), (core[i], core_conj[i])))
         elif step.kind == "sideband":
-            _sideband_in_place(buf, d, step.target_level)
+            j = step.target_level
+            if not 0 <= j < d:
+                raise ValueError(f"level digit must be in [0, {d}), got {j}")
+            p = frames[i + 1, j].item()
+            maps.append((step.kind, j, (c, -1j * s * p, -1j * s * p.conjugate(), c), None))
         else:
-            _aux_in_place(buf, d, step.detuning, params.omega_ge, step.multiplicity)
-    return t
+            maps.append((step.kind, None, _aux_map(step.detuning, params.omega_ge, step.multiplicity), None))
+    return maps, t, frames[-1]
 
 
-def _plan_run_times(
-    t_min: float,
-    packet_slot: int,
-    d: int,
-    t_kepler: float,
-    kepler_periods: float,
-    t_ref: float,
-) -> tuple[float, float, float, float, float]:
+def _fire_in_place(buf: np.ndarray, maps: list[tuple]) -> None:
+    """Fire ``_pulse_maps`` entries in order on a C-contiguous frame buffer (d+2, ..., d+1, 2).
+
+    Swap: the pi pulse on (a = c^dag e~, target ground), then the rank-one
+    update e~ += c (a' - a) in row blocks of ``_UPDATE_BYTES``. Sideband on
+    level j: {|j, 0 phonons>, |ground, 1 phonon>} of the control ion,
+    ContractError if any state holds more than EPS_STATE in |j, 1 phonon>.
+    Auxiliary drive: {|target ground, 1 phonon>, |aux excited, 0 phonons>},
+    ContractError likewise for |aux excited, 1 phonon>.
+    """
+    d = buf.shape[0] - 2
+    rows = buf.reshape(d + 2, -1)
+    levels = rows[:d]
+    block = max(1, _UPDATE_BYTES // levels[0].nbytes)
+    for kind, j, m, core in maps:
+        if kind == "packet_swap":
+            a = core[1] @ levels
+            swapped, rows[d] = _rotate(m, a, rows[d])
+            delta = swapped - a
+            for lo in range(0, d, block):
+                levels[lo : lo + block] += np.multiply.outer(core[0][lo : lo + block], delta)
+        elif kind == "sideband":
+            _require_within_cap(buf[..., j, 1], 0, f"|level {j}, 1 phonon>", "a sideband pulse")
+            buf[..., j, 0], buf[..., d, 1] = _rotate(m, buf[..., j, 0], buf[..., d, 1])
+        else:
+            _require_within_cap(buf[d + 1][..., 1], -1, "|aux excited, 1 phonon>", "the auxiliary drive")
+            buf[d][..., 1], buf[d + 1][..., 0] = _rotate(m, buf[d][..., 1], buf[d + 1][..., 0])
+
+
+def _plan_run_times(t_min: float, packet_slot: int, d: int, t_kepler: float, kepler_periods: float,
+                    t_ref: float) -> tuple[float, float, float, float, float]:
     """Times of the five pulses of one run starting no earlier than t_min.
 
     The first swap must fire when the addressed packet reaches the inner
@@ -416,18 +447,9 @@ def _plan_run_times(
     return t1, t2, t3, t4, t5
 
 
-def build_run_steps(
-    level_digit: int,
-    packet_slot: int,
-    phase: float,
-    d: int,
-    params: TrapParams,
-    spectrum: RydbergSpectrum,
-    t_min: float = 0.0,
-    multiplicity: int = 1,
-    kepler_periods: float = 2,
-    t_ref: float = 0.0,
-) -> list[PulseStep]:
+def build_run_steps(level_digit: int, packet_slot: int, phase: float, d: int, params: TrapParams,
+                    spectrum: RydbergSpectrum, t_min: float = 0.0, multiplicity: int = 1,
+                    kepler_periods: float = 2, t_ref: float = 0.0) -> list[PulseStep]:
     """The five pulses of one conditional-phase run on (level, packet)."""
     if not 0 <= level_digit < d:
         raise ValueError(f"level digit must be in [0, {d}), got {level_digit}")
@@ -442,9 +464,7 @@ def build_run_steps(
             "will fire with the packet away from the turning point",
             stacklevel=2,
         )
-    t1, t2, t3, t4, t5 = _plan_run_times(
-        t_min, packet_slot, d, spectrum.t_kepler, kepler_periods, t_ref
-    )
+    t1, t2, t3, t4, t5 = _plan_run_times(t_min, packet_slot, d, spectrum.t_kepler, kepler_periods, t_ref)
     detuning = solve_aux_detuning(phase, params.omega_ge, multiplicity)
     aux_time = 2.0 * math.pi * multiplicity / params.omega_ge
     if aux_time > (t4 - t2):
@@ -474,16 +494,9 @@ def hybrid_phase_targets(d: int, span: int) -> np.ndarray:
     return -2.0 * math.pi * np.outer(offsets, offsets) / float(d) ** (span + 1)
 
 
-def build_phase_gate_schedule(
-    l: int,
-    m: int,
-    shape: RegisterShape,
-    params: TrapParams,
-    spectrum: RydbergSpectrum,
-    t0: float = 0.0,
-    multiplicity: int = 1,
-    kepler_periods: float = 2,
-) -> list[PulseStep]:
+def build_phase_gate_schedule(l: int, m: int, shape: RegisterShape, params: TrapParams,
+                              spectrum: RydbergSpectrum, t0: float = 0.0, multiplicity: int = 1,
+                              kepler_periods: float = 2) -> list[PulseStep]:
     """All d*d runs of the composed phase gate between qudits l < m, in order.
 
     Run (j, k) is steps[5 * (j*d + k) : 5 * (j*d + k) + 5]; each run starts
@@ -497,18 +510,8 @@ def build_phase_gate_schedule(
     t_min = t0
     for j in range(shape.d):
         for k in range(shape.d):
-            run = build_run_steps(
-                j,
-                k,
-                float(phases[j, k]),
-                shape.d,
-                params,
-                spectrum,
-                t_min=t_min,
-                multiplicity=multiplicity,
-                kepler_periods=kepler_periods,
-                t_ref=t0,
-            )
+            run = build_run_steps(j, k, float(phases[j, k]), shape.d, params, spectrum, t_min=t_min,
+                                  multiplicity=multiplicity, kepler_periods=kepler_periods, t_ref=t0)
             steps.extend(run)
             t_min = run[-1].time
     return steps
@@ -532,21 +535,38 @@ class FidelityReport:
     truncation: str = "kepler"
 
 
-def verify_hybrid_gate(
-    shape: RegisterShape,
-    l: int,
-    m: int,
-    params: TrapParams,
-    spectrum: RydbergSpectrum,
-    multiplicity: int = 1,
-    kepler_periods: float = 2,
-) -> FidelityReport:
+def _realized_process(steps: list[PulseStep], params: TrapParams,
+                      spectrum: RydbergSpectrum) -> tuple[np.ndarray, float, float]:
+    """(process matrix, worst trap population after any run, total duration) of a gate schedule.
+
+    Column j0*d + k0 of the (d*d, d*d) matrix is the (level, packet) block that
+    hybrid basis state (j0, k0) ends in, evolved back to t = 0.
+    """
+    d = spectrum.d
+    maps, t, _ = _pulse_maps(steps, 0.0, params, spectrum)
+    u, u_dag = _packet_matrices(d)
+    # stack index j0*d + k0 holds basis state (j0, k0): packet k0 is the level column U[:, k0]
+    col = np.arange(d * d)
+    buf = np.zeros((d + 2, d * d, d + 1, 2), dtype=np.complex128)
+    buf[:d, col, col // d, 0] = u[:, col % d]
+    residual_max = 0.0
+    for start in range(0, len(maps), 5):
+        _fire_in_place(buf, maps[start : start + 5])
+        trapped = np.abs(buf[..., 1])  # [target, state, control]
+        trapped *= trapped
+        residual_max = max(residual_max, float(trapped.sum(axis=0).sum(axis=-1).max()))
+    packets = u_dag @ buf[:d, :, :d, 0].reshape(d, -1)  # [packet k, column, level j]
+    return packets.reshape(d, d * d, d).transpose(2, 0, 1).reshape(d * d, d * d), residual_max, t
+
+
+def verify_hybrid_gate(shape: RegisterShape, l: int, m: int, params: TrapParams, spectrum: RydbergSpectrum,
+                       multiplicity: int = 1, kepler_periods: float = 2) -> FidelityReport:
     """Simulate the composed d*d-run gate on every hybrid basis state.
 
     All d*d basis states (control level j0, target packet k0) go through the
-    full pulse schedule together as one (d*d, d+1, d+2, 2) stack;
-    free-evolution phases are removed by evolving back through the total
-    duration, and the resulting matrix is compared to the diagonal target
+    full pulse schedule together as one (d*d, d+1, d+2, 2) stack in the
+    interaction frame, whose final state is the state with its free-evolution
+    phases removed; the resulting matrix is compared to the diagonal target
     exp(i phi[j, k]). The schedule is the one :func:`build_phase_gate_schedule`
     returns, fired one five-pulse run at a time on one buffer. Reports the process
     fidelity |Tr(target^dag M)|^2 / d^4 (global-phase invariant), per-branch
@@ -556,27 +576,12 @@ def verify_hybrid_gate(
     d*d*(d+1)*(d+2)*2 amplitudes exceed the register cap.
     """
     d = shape.d
-    check_amplitude_count(
-        (d * d, d + 1, d + 2, 2),
-        f"stack of {d * d} hybrid basis states of shape ({d + 1}, {d + 2}, 2)",
-    )
-    steps = build_phase_gate_schedule(
-        l, m, shape, params, spectrum, multiplicity=multiplicity, kepler_periods=kepler_periods
-    )
+    check_amplitude_count((d * d, d + 1, d + 2, 2),
+                          f"stack of {d * d} hybrid basis states of shape ({d + 1}, {d + 2}, 2)")
+    steps = build_phase_gate_schedule(l, m, shape, params, spectrum, multiplicity=multiplicity,
+                                      kepler_periods=kepler_periods)
+    matrix, residual_max, t = _realized_process(steps, params, spectrum)
     target_diag = np.exp(1j * hybrid_phase_targets(d, m - l).ravel())
-
-    # stack index j0*d + k0 holds basis state (j0, k0), i.e. column j0*d + k0, in one buffer
-    col = np.arange(d * d)
-    buf = np.zeros((d + 2, d * d, d + 1, 2), dtype=np.complex128)
-    buf[col % d, col, col // d, 0] = 1.0
-    amps = np.moveaxis(buf, 0, -2)
-    t, residual_max = 0.0, 0.0
-    for start in range(0, len(steps), 5):
-        t = _fire_in_place(buf, t, steps[start : start + 5], params, spectrum)
-        residual_max = max(residual_max, float(JointIonState(d, amps, t).trap_excited_population().max()))
-    state = free_evolve_joint(JointIonState(d, amps, t), spectrum, -t)
-    matrix = state.hybrid_block().reshape(d * d, d * d).T
-
     overlap = np.vdot(target_diag, np.diag(matrix))
     fidelity = float(abs(overlap) ** 2 / d**4)
     global_phase = float(np.angle(overlap)) if abs(overlap) > 0 else 0.0

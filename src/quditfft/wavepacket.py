@@ -202,13 +202,6 @@ def free_evolve(v: AmplitudeVector, spectrum: RydbergSpectrum,
     return [AmplitudeVector(v.basis, row) for row in amps]
 
 
-def free_evolution_maps(spectrum: RydbergSpectrum, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(level phases exp(-i (ω_j - ω_0) dt), packet-basis map U† diag(phases) U) for one dt."""
-    phases = np.exp(-1j * spectrum.frequency_offsets() * dt)
-    u, u_dag = _packet_matrices(spectrum.d)
-    return phases, u_dag @ (phases[:, None] * u)
-
-
 def dispersion_fidelity(v: AmplitudeVector, spectrum: RydbergSpectrum, dt: float) -> float:
     """Overlap |<ψ_kepler(dt)|ψ_revival(dt)>|² between truncations of the same spectrum.
 
