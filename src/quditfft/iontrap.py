@@ -150,7 +150,7 @@ class JointIonState:
         require_unit_norm(self.norm(), "joint state", tol)
 
     def trap_excited_population(self) -> float | np.ndarray:
-        # C order: a view of a target-leading buffer sums in a fresh state's order
+        # C order: a view of a target-leading frame buffer sums in a fresh state's order
         return _per_state(np.sum(np.abs(self.amps[..., 1], order="C") ** 2, axis=(-2, -1)))
 
     def aux_population(self) -> float | np.ndarray:

@@ -511,8 +511,8 @@ def _stack_with_stranded(d, stranded):
 
 
 def test_trap_population_does_not_depend_on_memory_layout():
-    # verify_hybrid_gate reads the population from a view of its target-leading
-    # buffer; the sum must run in the order it takes on a fresh C-ordered state
+    # a state may be a view of a target-leading frame buffer; the sum must run
+    # in the order it takes on a fresh C-ordered state
     d, batch = 5, 25
     rng = np.random.default_rng(5)
     shape = (d + 2, batch, d + 1, 2)
