@@ -407,7 +407,7 @@ def _fire_in_place(buf: np.ndarray, maps: list[tuple]) -> None:
     d = buf.shape[0] - 2
     rows = buf.reshape(d + 2, -1)
     levels = rows[:d]
-    block = max(1, _UPDATE_BYTES // levels[0].nbytes)
+    block = max(1, _UPDATE_BYTES // max(levels[0].nbytes, 1))
     for kind, j, m, core in maps:
         if kind == "packet_swap":
             a = core[1] @ levels
