@@ -25,6 +25,7 @@ from .gates import (
 )
 from .iontrap import (
     JointIonState,
+    PulseSchedule,
     PulseStep,
     TrapParams,
     aux_cycle_phase,
@@ -74,6 +75,7 @@ __all__ = [
     "GateDescriptor",
     "JointIonState",
     "PulseProfile",
+    "PulseSchedule",
     "PulseStep",
     "QuditState",
     "RabiCouplings",

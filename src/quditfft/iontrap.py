@@ -24,9 +24,9 @@ receives the dialed phase. Branches sharing just j or just k pick up -1 from
 a completed pulse pair; composing the d*d runs cancels every -1, leaving the
 pure diagonal phase gate.
 
-There is one schedule path: ``build_phase_gate_schedule`` lists the 5*d*d
-pulses of the composed gate and one private loop fires them, for
-``execute_schedule`` and ``verify_hybrid_gate`` alike.
+There is one schedule path: ``build_phase_gate_schedule`` compiles the 5*d*d
+pulses of the composed gate into one ``PulseSchedule`` of arrays and one
+private loop fires them, for ``execute_schedule`` and ``verify_hybrid_gate`` alike.
 
 Conventions and idealizations:
   * Rotating frame: band amplitudes rotate at the spectrum's frequency
@@ -50,11 +50,11 @@ Conventions and idealizations:
     exp(-i w_j tau) on the entry into |ground, 1>; the auxiliary drive is
     unchanged. Every phase and 2x2 map of a schedule is made before the first
     pulse fires, each phase argument w_j tau reduced mod 2 pi from its exact
-    float product. U and U^dag appear only at the state boundary; the input
-    is never written. ``verify_hybrid_gate`` loads U[:, k0] for the d*d basis
-    states (j0, k0) into one such buffer, fires the schedule run by run,
-    reads the trap row after each run, and reads its process matrix as
-    U^dag e~, the final state evolved back to tau = 0.
+    float product (refused beyond ~1.3e300). U and U^dag appear only at the
+    state boundary; the input is never written. ``verify_hybrid_gate`` loads
+    U[:, k0] for the d*d basis states (j0, k0) into one such buffer, fires
+    the schedule run by run, reads the trap row after each run, and reads its
+    process matrix as U^dag e~, the final state evolved back to tau = 0.
   * While an amplitude is parked in a ground state it stops accruing band
     phase. With the default two-Kepler-period run the park windows span whole
     Kepler periods, so plain free-evolution compensation is exact run by run;
@@ -64,8 +64,10 @@ Conventions and idealizations:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +78,7 @@ from .register import RegisterShape, check_amplitude_count
 from .wavepacket import RydbergSpectrum, _packet_matrices, level_offsets
 
 PULSE_KINDS = ("packet_swap", "sideband", "aux")
+_SWAP, _SIDEBAND, _AUX = range(len(PULSE_KINDS))  # the kind codes of a PulseSchedule
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
 _UPDATE_BYTES = 1 << 18  # a swap updates the level rows in blocks whose outer product stays in cache
 
@@ -202,9 +205,9 @@ def free_evolve_joint(state: JointIonState, spectrum: RydbergSpectrum, dt: float
     return JointIonState(state.d, _from_frame(_to_frame(state, spectrum), phases), state.t + dt)
 
 
-def _rotate(m: tuple, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 map m = (m00, m01, m10, m11) applied to the amplitude pair (a, b)."""
-    return m[0] * a + m[1] * b, m[2] * a + m[3] * b
+def _rotate(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 map m = (m00, m01, m10, m11) on the pair (a, b); 0-d views multiply faster than scalars."""
+    return m[0, ...] * a + m[1, ...] * b, m[2, ...] * a + m[3, ...] * b
 
 
 def _require_within_cap(stranded_amps: np.ndarray, axis: int, where: str, pulse: str) -> None:
@@ -213,11 +216,17 @@ def _require_within_cap(stranded_amps: np.ndarray, axis: int, where: str, pulse:
     ``axis`` of ``stranded_amps`` runs over one state's amplitudes in the
     doubly excited subspace, the other axes over the stack.
     """
-    worst = float((np.abs(stranded_amps) ** 2).sum(axis=axis).max())
-    if worst > EPS_STATE:
-        raise ContractError(
-            f"population {worst:.3e} in {where} would leave the single-phonon cap under {pulse}"
-        )
+    if np.vdot(stranded_amps, stranded_amps).real > EPS_STATE:  # the stack's total bounds every state's
+        worst = float((np.abs(stranded_amps) ** 2).sum(axis=axis).max())
+        if worst > EPS_STATE:
+            raise ContractError(f"population {worst:.3e} in {where} would leave the single-phonon cap "
+                                f"under {pulse}")
+
+
+def _require_all(ok: np.ndarray, what: str, values: np.ndarray) -> None:
+    """ValueError naming the first entry of ``values`` where ``ok`` is false."""
+    if not ok.all():
+        raise ValueError(f"{what}, got {values[np.argmin(ok)].item()!r}")
 
 
 def check_multiplicity(multiplicity: int) -> int:
@@ -287,9 +296,8 @@ def _aux_map(detuning: float, omega_ge: float, multiplicity: int) -> tuple[compl
     """
     if not abs(detuning) <= omega_ge:
         raise ValueError(f"|detuning|={abs(detuning)} exceeds omega_ge={omega_ge}; no real coupling exists")
-    p = check_multiplicity(multiplicity)
     coupling = math.sqrt(max(omega_ge**2 - detuning**2, 0.0))
-    duration = 2.0 * math.pi * p / omega_ge
+    duration = 2.0 * math.pi * multiplicity / omega_ge
     half = omega_ge * duration / 2.0  # = pi * p
     c, s = math.cos(half), math.sin(half)
     # exp(-iHT) on the ordered pair (|g,1>, |e,0>), split into the trace part
@@ -318,13 +326,63 @@ class PulseStep:
             raise ValueError(f"kind must be one of {PULSE_KINDS}, got {self.kind!r}")
         if self.kind == "sideband" and self.target_level is None:
             raise ValueError("sideband steps need a target_level")
-        if type(self.target_level) not in (int, type(None)):  # bool is an int subclass
-            raise ValueError(f"target_level must be an int, got {self.target_level!r}")
+        if type(self.target_level) not in (int, type(None)) or (self.target_level or 0) < 0:  # no bools
+            raise ValueError(f"target_level must be an int >= 0, got {self.target_level!r}")
+        if type(self.multiplicity) is not int or self.multiplicity < 1:
+            raise ValueError(f"multiplicity must be an int >= 1, got {self.multiplicity!r}")
         if not (math.isfinite(self.time) and math.isfinite(self.detuning)):
             raise ValueError(f"time and detuning must be finite, got {self.time} and {self.detuning}")
 
 
-def execute_schedule(state: JointIonState, steps: list[PulseStep], params: TrapParams,
+@dataclass(frozen=True, eq=False)
+class PulseSchedule:
+    """A compiled pulse schedule: read-only columns checked once, vectorized, one entry per pulse.
+
+    ``kinds`` indexes PULSE_KINDS, ``levels`` holds the sideband's level (-1 for none). Iteration
+    gives PulseSteps and a slice gives a schedule; hand-written steps enter through ``from_steps``.
+    """
+
+    kinds: np.ndarray
+    times: np.ndarray
+    levels: np.ndarray
+    detunings: np.ndarray
+    multiplicities: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, column in vars(self).items():
+            column, integer = np.asarray(column), name not in ("times", "detunings")
+            if integer and column.size and column.dtype.kind not in "iu":  # bools too
+                raise ValueError(f"{name} must be ints, got dtype {column.dtype}")
+            column = column.astype(np.int64 if integer else np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        kinds, times, levels, detunings, multiplicities = vars(self).values()
+        if times.ndim != 1 or len({column.shape for column in vars(self).values()}) != 1:
+            raise ValueError("schedule columns must be 1-D and of one length")
+        _require_all((kinds >= 0) & (kinds < len(PULSE_KINDS)), f"kinds must index {PULSE_KINDS}", kinds)
+        _require_all(np.isfinite(times), "times must be finite", times)
+        _require_all(np.isfinite(detunings), "detunings must be finite", detunings)
+        _require_all(levels + (kinds != _SIDEBAND) >= 0, "levels must be >= 0, or -1 off sidebands", levels)
+        _require_all(multiplicities >= 1, "multiplicities must be >= 1", multiplicities)
+
+    @classmethod
+    def from_steps(cls, steps: Iterable[PulseStep]) -> "PulseSchedule":
+        rows = [(PULSE_KINDS.index(s.kind), s.time, -1 if s.target_level is None else s.target_level,
+                 s.detuning, s.multiplicity) for s in steps]
+        return cls(*(zip(*rows) if rows else [()] * 5))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, pulses: slice) -> "PulseSchedule":
+        return PulseSchedule(*(column[pulses] for column in vars(self).values()))
+
+    def __iter__(self) -> Iterator[PulseStep]:
+        for kind, time, level, detuning, mult in zip(*(column.tolist() for column in vars(self).values())):
+            yield PulseStep(PULSE_KINDS[kind], time, None if level < 0 else level, detuning, mult)
+
+
+def execute_schedule(state: JointIonState, steps: PulseSchedule | Iterable[PulseStep], params: TrapParams,
                      spectrum: RydbergSpectrum) -> JointIonState:
     """Apply the steps in order at their nominal times, evolving freely in between.
 
@@ -341,15 +399,17 @@ def _frame_phases(spectrum: RydbergSpectrum, times: np.ndarray) -> np.ndarray:
 
     w_j * tau is reduced mod 2 pi from the exact product of the two floats
     (Dekker 1971), so a late phase rounds like an early one; the rounded
-    product alone would be off by up to half an ulp of its ~1e4 rad.
+    product alone would be off by up to half an ulp of its ~1e4 rad. Past
+    |tau| ~ 1.3e300 the split overflows and the phase comes out not finite.
     """
     w = spectrum.frequency_offsets()
-    x = np.multiply.outer(times, w)
-    (t_hi, t_lo), (w_hi, w_lo) = _split(times[:, None]), _split(w)
-    r = np.fmod(x, 2.0 * math.pi)  # exact
-    turns = np.rint((x - r) / (2.0 * math.pi))
-    r += ((t_hi * w_hi - x) + t_hi * w_lo + t_lo * w_hi) + t_lo * w_lo - turns * _TWO_PI_LO
-    return np.exp(1j * r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.multiply.outer(times, w)
+        (t_hi, t_lo), (w_hi, w_lo) = _split(times[:, None]), _split(w)
+        r = np.fmod(x, 2.0 * math.pi)  # exact
+        turns = np.rint((x - r) / (2.0 * math.pi))
+        r += ((t_hi * w_hi - x) + t_hi * w_lo + t_lo * w_hi) + t_lo * w_lo - turns * _TWO_PI_LO
+        return np.exp(1j * r)
 
 
 def _split(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,42 +419,43 @@ def _split(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, f - hi
 
 
-def _pulse_maps(steps: list[PulseStep], t: float, params: TrapParams,
-                spectrum: RydbergSpectrum) -> tuple[list[tuple], float, np.ndarray]:
-    """(map per step, time after the last step, frame phases there) for a frame buffer at time t.
+def _pulse_maps(steps: PulseSchedule | Iterable[PulseStep], t: float, params: TrapParams,
+                spectrum: RydbergSpectrum) -> tuple[np.ndarray, float, np.ndarray]:
+    """(maps, time after the last step, frame phases there) for a frame buffer at time t.
 
-    Map i is (kind, level, m, core): the 2x2 map m on the step's two rows, the
-    sideband's level, and for a swap the core packet (c, conj(c)) in the
-    frame. Every step is checked here, before any fires.
+    Row i of the (n, 6 + 2d) maps holds pulse i: kind code, level, its 2x2 map (a sideband's with
+    its level's frame phase off the diagonal), the core packet c in the frame and conj(c). Every
+    step is checked here, before any fires.
     """
     if not math.isfinite(t):
         raise ValueError(f"a schedule needs a finite start time, got {t}")
-    d, t0, times = spectrum.d, t, [0.0]
-    for step in steps:
-        if step.time < t - 1e-9:
-            raise ValueError(f"step at t={step.time} lies before the state time {t}; schedules must run forward")
-        t = t + (step.time - t)
-        times.append(t - t0)
-    frames = _frame_phases(spectrum, np.array(times))
-    core = _packet_matrices(d)[0][:, 0] * frames[1:]
-    core_conj = core.conj()
+    if not isinstance(steps, PulseSchedule):
+        steps = PulseSchedule.from_steps(steps)
+    d, kinds, times = spectrum.d, steps.kinds, steps.times
+    # the state time before each step and after the last, advanced as t + (time - t)
+    clock = np.fromiter(itertools.accumulate(times.tolist(), lambda now, time: now + (time - now), initial=t),
+                        np.float64, len(times) + 1)
+    _require_all(times >= clock[:-1] - 1e-9, "schedules run forward: no step before the state time", times)
+    frames = _frame_phases(spectrum, clock - t)
+    _require_all(np.isfinite(frames).all(axis=1), "frame phases w_j * tau split exactly only for pulse times "
+                 "within ~1.3e300 of the schedule's start", clock)
+    sideband, aux = kinds == _SIDEBAND, kinds == _AUX
+    level = steps.levels[sideband]
+    _require_all(level < d, f"level digit must be in [0, {d})", level)
+    maps = np.empty((len(times), 6 + 2 * d), dtype=np.complex128)
+    maps[:, 0], maps[:, 1] = kinds, steps.levels
     c, s = math.cos(math.pi / 2.0), math.sin(math.pi / 2.0)  # pi pulses exp[-+i (pi/2) sigma_x]
-    maps = []
-    for i, step in enumerate(steps):
-        if step.kind == "packet_swap":
-            maps.append((step.kind, None, (c, 1j * s, 1j * s, c), (core[i], core_conj[i])))
-        elif step.kind == "sideband":
-            j = step.target_level
-            if not 0 <= j < d:
-                raise ValueError(f"level digit must be in [0, {d}), got {j}")
-            p = frames[i + 1, j].item()
-            maps.append((step.kind, j, (c, -1j * s * p, -1j * s * p.conjugate(), c), None))
-        else:
-            maps.append((step.kind, None, _aux_map(step.detuning, params.omega_ge, step.multiplicity), None))
-    return maps, t, frames[-1]
+    maps[:, 2:6] = c, 1j * s, 1j * s, c
+    p = frames[1:][sideband, level]
+    maps[sideband, 3], maps[sideband, 4] = -1j * s * p, -1j * s * p.conj()
+    aux_rows = zip(steps.detunings[aux].tolist(), steps.multiplicities[aux].tolist())
+    maps[aux, 2:6] = np.reshape([_aux_map(x, params.omega_ge, mult) for x, mult in aux_rows], (-1, 4))
+    maps[:, 6 : 6 + d] = _packet_matrices(d)[0][:, 0] * frames[1:]
+    maps[:, 6 + d :] = maps[:, 6 : 6 + d].conj()
+    return maps, float(clock[-1]), frames[-1]
 
 
-def _fire_in_place(buf: np.ndarray, maps: list[tuple]) -> None:
+def _fire_in_place(buf: np.ndarray, maps: np.ndarray) -> None:
     """Fire ``_pulse_maps`` entries in order on a C-contiguous frame buffer (d+2, ..., d+1, 2).
 
     Swap: the pi pulse on (a = c^dag e~, target ground), then the rank-one
@@ -408,14 +469,15 @@ def _fire_in_place(buf: np.ndarray, maps: list[tuple]) -> None:
     rows = buf.reshape(d + 2, -1)
     levels = rows[:d]
     block = max(1, _UPDATE_BYTES // max(levels[0].nbytes, 1))
-    for kind, j, m, core in maps:
-        if kind == "packet_swap":
-            a = core[1] @ levels
-            swapped, rows[d] = _rotate(m, a, rows[d])
-            delta = swapped - a
+    kinds, js = maps[:, :2].real.astype(int).T.tolist()
+    for kind, j, m, core, core_conj in zip(kinds, js, maps[:, 2:6], maps[:, 6 : d + 6, None], maps[:, d + 6 :]):
+        if kind == _SWAP:
+            a = core_conj @ levels
+            delta, rows[d] = _rotate(m, a, rows[d])
+            delta -= a
             for lo in range(0, d, block):
-                levels[lo : lo + block] += np.multiply.outer(core[0][lo : lo + block], delta)
-        elif kind == "sideband":
+                levels[lo : lo + block] += core[lo : lo + block] * delta
+        elif kind == _SIDEBAND:
             _require_within_cap(buf[..., j, 1], 0, f"|level {j}, 1 phonon>", "a sideband pulse")
             buf[..., j, 0], buf[..., d, 1] = _rotate(m, buf[..., j, 0], buf[..., d, 1])
         else:
@@ -447,39 +509,40 @@ def _plan_run_times(t_min: float, packet_slot: int, d: int, t_kepler: float, kep
     return t1, t2, t3, t4, t5
 
 
+def _run_schedule(runs: list[tuple[int, int, float]], d: int, params: TrapParams, spectrum: RydbergSpectrum,
+                  t_min: float, multiplicity: int, kepler_periods: float, t_ref: float) -> PulseSchedule:
+    """The five pulses of each run (level, packet, phase), each run after the last, aligned to t_ref."""
+    check_kepler_periods(kepler_periods)
+    if not (math.isfinite(t_min) and math.isfinite(t_ref)):
+        raise ValueError(f"t_min and t_ref must be finite, got {t_min} and {t_ref}")
+    if kepler_periods != int(kepler_periods):
+        warnings.warn(f"kepler_periods={kepler_periods} is not an integer; the closing swap will fire with "
+                      "the packet away from the turning point", stacklevel=3)
+    p = check_multiplicity(multiplicity)
+    times = [t_min]
+    for _, packet_slot, _ in runs:
+        times += _plan_run_times(times[-1], packet_slot, d, spectrum.t_kepler, kepler_periods, t_ref)
+    del times[0]
+    window, aux_time = np.min(np.subtract(times[3::5], times[1::5])), 2.0 * math.pi * p / params.omega_ge
+    if aux_time > window:
+        warnings.warn(f"auxiliary drive lasts {aux_time:.3g}, longer than the {window:.3g} window between the "
+                      "sideband pulses; treating it as instantaneous is a stretch", stacklevel=3)
+    detunings = [(0.0, 0.0, solve_aux_detuning(float(phi), params.omega_ge, p), 0.0, 0.0) for _, _, phi in runs]
+    return PulseSchedule(np.tile((_SWAP, _SIDEBAND, _AUX, _SIDEBAND, _SWAP), len(runs)), times,
+                         np.ravel([(-1, j, -1, j, -1) for j, _, _ in runs]), np.ravel(detunings),
+                         np.tile((1, 1, p, 1, 1), len(runs)))
+
+
 def build_run_steps(level_digit: int, packet_slot: int, phase: float, d: int, params: TrapParams,
                     spectrum: RydbergSpectrum, t_min: float = 0.0, multiplicity: int = 1,
-                    kepler_periods: float = 2, t_ref: float = 0.0) -> list[PulseStep]:
+                    kepler_periods: float = 2, t_ref: float = 0.0) -> PulseSchedule:
     """The five pulses of one conditional-phase run on (level, packet)."""
     if not 0 <= level_digit < d:
         raise ValueError(f"level digit must be in [0, {d}), got {level_digit}")
     if not 0 <= packet_slot < d:
         raise ValueError(f"packet slot must be in [0, {d}), got {packet_slot}")
-    check_kepler_periods(kepler_periods)
-    if not (math.isfinite(t_min) and math.isfinite(t_ref)):
-        raise ValueError(f"t_min and t_ref must be finite, got {t_min} and {t_ref}")
-    if kepler_periods != int(kepler_periods):
-        warnings.warn(
-            f"kepler_periods={kepler_periods} is not an integer; the closing swap "
-            "will fire with the packet away from the turning point",
-            stacklevel=2,
-        )
-    t1, t2, t3, t4, t5 = _plan_run_times(t_min, packet_slot, d, spectrum.t_kepler, kepler_periods, t_ref)
-    detuning = solve_aux_detuning(phase, params.omega_ge, multiplicity)
-    aux_time = 2.0 * math.pi * multiplicity / params.omega_ge
-    if aux_time > (t4 - t2):
-        warnings.warn(
-            f"auxiliary drive lasts {aux_time:.3g}, longer than the {t4 - t2:.3g} window "
-            "between the sideband pulses; treating it as instantaneous is a stretch",
-            stacklevel=2,
-        )
-    return [
-        PulseStep("packet_swap", t1),
-        PulseStep("sideband", t2, target_level=level_digit),
-        PulseStep("aux", t3, detuning=detuning, multiplicity=multiplicity),
-        PulseStep("sideband", t4, target_level=level_digit),
-        PulseStep("packet_swap", t5),
-    ]
+    return _run_schedule([(level_digit, packet_slot, phase)], d, params, spectrum, t_min, multiplicity,
+                         kepler_periods, t_ref)
 
 
 def hybrid_phase_targets(d: int, span: int) -> np.ndarray:
@@ -496,7 +559,7 @@ def hybrid_phase_targets(d: int, span: int) -> np.ndarray:
 
 def build_phase_gate_schedule(l: int, m: int, shape: RegisterShape, params: TrapParams,
                               spectrum: RydbergSpectrum, t0: float = 0.0, multiplicity: int = 1,
-                              kepler_periods: float = 2) -> list[PulseStep]:
+                              kepler_periods: float = 2) -> PulseSchedule:
     """All d*d runs of the composed phase gate between qudits l < m, in order.
 
     Run (j, k) is steps[5 * (j*d + k) : 5 * (j*d + k) + 5]; each run starts
@@ -505,16 +568,8 @@ def build_phase_gate_schedule(l: int, m: int, shape: RegisterShape, params: Trap
     check_gate_qudits(l, m, shape.q)
     if shape.d != spectrum.d:
         raise ValueError(f"register has d={shape.d} but spectrum has d={spectrum.d}")
-    phases = hybrid_phase_targets(shape.d, m - l)
-    steps: list[PulseStep] = []
-    t_min = t0
-    for j in range(shape.d):
-        for k in range(shape.d):
-            run = build_run_steps(j, k, float(phases[j, k]), shape.d, params, spectrum, t_min=t_min,
-                                  multiplicity=multiplicity, kepler_periods=kepler_periods, t_ref=t0)
-            steps.extend(run)
-            t_min = run[-1].time
-    return steps
+    runs = [(j, k, phase) for (j, k), phase in np.ndenumerate(hybrid_phase_targets(shape.d, m - l))]
+    return _run_schedule(runs, shape.d, params, spectrum, t0, multiplicity, kepler_periods, t0)
 
 
 @dataclass(frozen=True)
@@ -535,7 +590,7 @@ class FidelityReport:
     truncation: str = "kepler"
 
 
-def _realized_process(steps: list[PulseStep], params: TrapParams,
+def _realized_process(steps: PulseSchedule, params: TrapParams,
                       spectrum: RydbergSpectrum) -> tuple[np.ndarray, float, float]:
     """(process matrix, worst trap population after any run, total duration) of a gate schedule.
 
@@ -574,6 +629,9 @@ def verify_hybrid_gate(shape: RegisterShape, l: int, m: int, params: TrapParams,
     population left behind by any single run on any single basis state.
     Raises ``ValueError`` before allocating when the stack's
     d*d*(d+1)*(d+2)*2 amplitudes exceed the register cap.
+
+    On ideal runs ``trap_residual_max`` is 4 d^2 cos^2(pi/2) (6.0e-32 at d=2): the rounding
+    of cos(pi/2) = 6.1e-17 in the pi pulses, not physics, for every truncation and period count.
     """
     d = shape.d
     check_amplitude_count((d * d, d + 1, d + 2, 2),

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import time
+import warnings
 
 import pytest
 
@@ -205,6 +206,18 @@ def test_fractional_kepler_periods_warns_and_fails_the_gate(tmp_path, capsys):
         code, out, _ = run_cli(capsys, "--config", str(cfg))
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_gate_times_beyond_exact_frame_phases_exit_two(tmp_path, capsys):
+    # n_bar = 1e100 makes T_K ~ 6e300: the gate's pulse times cannot be split for exact frame phases
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "iontrap", "n_bar": 1e100}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: frame phases w_j * tau split exactly only for pulse times within ~1.3e300")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from quditfft import (
     EPS_STATE,
     ContractError,
     JointIonState,
+    PulseSchedule,
     PulseStep,
     RegisterShape,
     RydbergSpectrum,
@@ -214,11 +217,23 @@ def test_aux_pulse_contracts():
 
 
 def test_pulse_step_validation():
-    with pytest.raises(ValueError):
-        PulseStep("bogus", 0.0)
-    with pytest.raises(ValueError):
-        PulseStep("sideband", 0.0)  # needs target_level
+    # a bad field is refused where the pulse is built, not when it fires: each
+    # PulseStep and the same pulse as PulseSchedule columns (kind, time, level, detuning, multiplicity)
+    for step, row in [
+        (("bogus", 0.0), (3, 0.0, -1, 0.0, 1)),
+        (("sideband", 0.0), (1, 0.0, -1, 0.0, 1)),  # a sideband needs a target_level
+        (("sideband", 0.0, -2), (1, 0.0, -2, 0.0, 1)),
+        (("aux", 0.0, None, 0.0, 0), (2, 0.0, -1, 0.0, 0)),
+        (("aux", 0.0, None, 0.0, 2.5), (2, 0.0, -1, 0.0, 2.5)),
+        (("aux", 0.0, None, 0.0, True), (2, 0.0, -1, 0.0, True)),
+        (("aux", 0.0, None, 0.0, 2.0), (2, 0.0, -1, 0.0, 2.0)),
+    ]:
+        with pytest.raises(ValueError):
+            PulseStep(*step)
+        with pytest.raises(ValueError):
+            PulseSchedule(*([value] for value in row))
     PulseStep("sideband", 0.0, target_level=1)
+    PulseSchedule([1], [0.0], [1], [0.0], [1])
 
 
 def test_execute_schedule_rejects_backward_steps():
@@ -556,6 +571,10 @@ def test_non_finite_times_and_detunings_are_rejected(bad):
         PulseStep("packet_swap", bad)
     with pytest.raises(ValueError, match="finite"):
         PulseStep("aux", 1.0, detuning=bad)
+    with pytest.raises(ValueError, match="times must be finite"):
+        PulseSchedule([0], [bad], [-1], [0.0], [1])
+    with pytest.raises(ValueError, match="detunings must be finite"):
+        PulseSchedule([2], [1.0], [-1], [bad], [1])
     with pytest.raises(ValueError):
         fire(state, "aux", params, detuning=bad)
     with pytest.raises(ValueError, match="finite"):
@@ -580,6 +599,9 @@ def test_pulse_step_requires_an_int_target_level():
     for bad in (True, False, 1.0, "1", np.float64(1.0)):
         with pytest.raises(ValueError, match="target_level must be an int"):
             PulseStep("sideband", 0.0, target_level=bad)
+    for bad in ([True], [1.0]):
+        with pytest.raises(ValueError, match="must be ints"):
+            PulseSchedule([1], [0.0], bad, [0.0], [1])
     # the range check waits for the firing, where d is known
     step = PulseStep("sideband", 0.0, target_level=3)
     with pytest.raises(ValueError, match="level digit"):
@@ -633,6 +655,106 @@ def test_whole_schedule_equals_one_call_per_run(d, truncation):
         assert out.t == state.t == t
 
 
+def listed_gate_steps(d, params, spectrum, t0, multiplicity, kepler_periods):
+    """The gate's pulses one PulseStep at a time, run after run, each run
+    starting where the previous one ended: the list schedules used to be."""
+    phases, steps, t_min = hybrid_phase_targets(d, 1), [], t0
+    for j in range(d):
+        for k in range(d):
+            t1, t2, t3, t4, t5 = iontrap_module._plan_run_times(t_min, k, d, spectrum.t_kepler, kepler_periods, t0)
+            detuning = solve_aux_detuning(float(phases[j, k]), params.omega_ge, multiplicity)
+            steps += [
+                PulseStep("packet_swap", t1),
+                PulseStep("sideband", t2, target_level=j),
+                PulseStep("aux", t3, detuning=detuning, multiplicity=multiplicity),
+                PulseStep("sideband", t4, target_level=j),
+                PulseStep("packet_swap", t5),
+            ]
+            t_min = t5
+    return steps
+
+
+COLUMNS = ("kinds", "times", "levels", "detunings", "multiplicities")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 12])
+def test_schedule_rows_equal_the_chained_run_builder(d):
+    spectrum, params, phases = RydbergSpectrum(5, d), TrapParams(), hybrid_phase_targets(d, 1)
+    for kepler_periods, multiplicity, t0 in itertools.product((1, 2, 3), (1, 2), (0.0, 7.3)):
+        schedule = build_phase_gate_schedule(0, 1, RegisterShape(d, 2), params, spectrum, t0=t0,
+                                             multiplicity=multiplicity, kepler_periods=kepler_periods)
+        runs, t_min = [], t0
+        for j in range(d):
+            for k in range(d):
+                runs.append(build_run_steps(j, k, float(phases[j, k]), d, params, spectrum, t_min=t_min,
+                                            multiplicity=multiplicity, kepler_periods=kepler_periods, t_ref=t0))
+                t_min = float(runs[-1].times[-1])
+        listed = PulseSchedule.from_steps(listed_gate_steps(d, params, spectrum, t0, multiplicity, kepler_periods))
+        for name in COLUMNS:
+            got = getattr(schedule, name)
+            assert got.tobytes() == np.concatenate([getattr(run, name) for run in runs]).tobytes()
+            assert got.tobytes() == getattr(listed, name).tobytes()
+
+
+def test_schedule_slices_and_iteration_round_trip():
+    d = 3
+    schedule = build_phase_gate_schedule(0, 1, RegisterShape(d, 2), TrapParams(), RydbergSpectrum(2, d),
+                                         multiplicity=2, kepler_periods=1)
+    steps = list(schedule)
+    assert len(steps) == len(schedule) == 5 * d * d
+    assert all(type(step) is PulseStep for step in steps)
+    assert steps[-1] == PulseStep("packet_swap", float(schedule.times[-1]))
+    assert steps[2] == PulseStep("aux", steps[2].time, detuning=steps[2].detuning, multiplicity=2)
+    for part in (slice(0, 5), slice(7, 23), slice(None, None, 5), slice(-5, None), slice(3, 3)):
+        assert type(schedule[part]) is PulseSchedule
+        assert list(schedule[part]) == steps[part]
+    again = PulseSchedule.from_steps(steps)
+    for name in COLUMNS:
+        assert getattr(again, name).tobytes() == getattr(schedule, name).tobytes()
+        with pytest.raises(ValueError):
+            getattr(schedule, name)[0] = 0
+    assert len(PulseSchedule.from_steps([])) == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_listed_steps_fire_bit_equal_to_their_schedule(d):
+    spectrum, params = RydbergSpectrum(2, d), TrapParams()
+    schedule = build_phase_gate_schedule(0, 1, RegisterShape(d, 2), params, spectrum, t0=7.3)
+    for state in (basis_stack(d), uniform_hybrid_state(d)):
+        state = JointIonState(d, state.amps, 7.3)
+        want = execute_schedule(state, schedule, params, spectrum)
+        got = execute_schedule(state, list(schedule), params, spectrum)
+        assert got.amps.tobytes() == want.amps.tobytes()
+        assert got.t == want.t
+
+
+def test_empty_stack_runs_a_whole_gate_schedule():
+    d = 3
+    spectrum, params = RydbergSpectrum(2, d), TrapParams()
+    steps = build_phase_gate_schedule(0, 1, RegisterShape(d, 2), params, spectrum)
+    empty = JointIonState(d, np.zeros((0, d + 1, d + 2, 2)))
+    out = execute_schedule(empty, steps, params, spectrum)
+    assert out.amps.shape == empty.amps.shape
+    assert out.t == execute_schedule(basis_stack(d), steps, params, spectrum).t
+    assert free_evolve_joint(empty, spectrum, 1.0).amps.shape == empty.amps.shape
+
+
+def test_times_too_late_for_exact_frame_phases_are_refused():
+    # w_j * tau is reduced mod 2 pi from the split product; above ~1.3e300 the split overflows
+    d = 3
+    spectrum, params = RydbergSpectrum(2, d), TrapParams()
+    state = JointIonState.hybrid_basis(d, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="within ~1.3e300 of the schedule's start, got 1e\\+301"):
+            execute_schedule(state, [PulseStep("packet_swap", 1e301)], params, spectrum)
+        with pytest.raises(ValueError, match="within ~1.3e300 of the schedule's start, got 1e\\+300"):
+            execute_schedule(JointIonState(d, state.amps, -1e300), [PulseStep("packet_swap", 1e300)], params, spectrum)
+        out = execute_schedule(state, [PulseStep("packet_swap", 1e300)], params, spectrum)
+    assert np.isfinite(out.amps).all()
+    assert_allclose(out.norm(), 1.0, atol=1e-12)
+
+
 def reference_free_evolve(amps, spectrum, dt):
     """Oracle free evolution: a whole-state copy, the control phases, then the
     slot map U^dag diag(phases) U through tensordot on the public layout."""
@@ -673,6 +795,19 @@ def reference_schedule(amps, t, steps, params, spectrum):
         a, b = amps[rows[0]], amps[rows[1]]
         amps[rows[0]], amps[rows[1]] = m[0][0] * a + m[0][1] * b, m[1][0] * a + m[1][1] * b
     return amps, t
+
+
+def test_state_time_advances_by_each_interval():
+    # the clock adds each step's interval, t + (time - t), as free evolution between pulses
+    # does; from t=0.1 that reaches 2.9000000000000004 for a step at 2.9
+    d = 3
+    spectrum, params = RydbergSpectrum(2, d), TrapParams()
+    state = JointIonState(d, JointIonState.hybrid_basis(d, 1, 0).amps, 0.1)
+    steps = [PulseStep("packet_swap", 0.7), PulseStep("sideband", 2.9, target_level=1)]
+    want, t = reference_schedule(state.amps, state.t, steps, params, spectrum)
+    out = execute_schedule(state, steps, params, spectrum)
+    assert out.t == t == 2.9000000000000004
+    assert_allclose(out.amps, want, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
