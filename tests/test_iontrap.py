@@ -656,8 +656,8 @@ def test_whole_schedule_equals_one_call_per_run(d, truncation):
 
 
 def listed_gate_steps(d, params, spectrum, t0, multiplicity, kepler_periods):
-    """The gate's pulses one PulseStep at a time, run after run, each run
-    starting where the previous one ended: the list schedules used to be."""
+    """Oracle of the array builder: the gate's pulses one PulseStep at a time,
+    run after run, each run starting where the previous one ended."""
     phases, steps, t_min = hybrid_phase_targets(d, 1), [], t0
     for j in range(d):
         for k in range(d):
@@ -749,7 +749,8 @@ def test_times_too_late_for_exact_frame_phases_are_refused():
         with pytest.raises(ValueError, match="within ~1.3e300 of the schedule's start, got 1e\\+301"):
             execute_schedule(state, [PulseStep("packet_swap", 1e301)], params, spectrum)
         with pytest.raises(ValueError, match="within ~1.3e300 of the schedule's start, got 1e\\+300"):
-            execute_schedule(JointIonState(d, state.amps, -1e300), [PulseStep("packet_swap", 1e300)], params, spectrum)
+            execute_schedule(JointIonState(d, state.amps, -1e300), [PulseStep("packet_swap", 1e300)], params,
+                             spectrum)
         out = execute_schedule(state, [PulseStep("packet_swap", 1e300)], params, spectrum)
     assert np.isfinite(out.amps).all()
     assert_allclose(out.norm(), 1.0, atol=1e-12)
