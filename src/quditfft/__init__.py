@@ -26,7 +26,6 @@ from .gates import (
 from .iontrap import (
     JointIonState,
     PulseSchedule,
-    PulseStep,
     TrapParams,
     aux_cycle_phase,
     build_phase_gate_schedule,
@@ -76,7 +75,6 @@ __all__ = [
     "JointIonState",
     "PulseProfile",
     "PulseSchedule",
-    "PulseStep",
     "QuditState",
     "RabiCouplings",
     "RegisterShape",

@@ -412,13 +412,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     text = render_report(cfg, results, passed)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.csv is not None:
-        _write_csv(args.csv, rows)
+    try:
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if args.csv is not None:
+            _write_csv(args.csv, rows)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or 'the report'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0 if passed else 1
 
 

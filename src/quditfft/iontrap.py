@@ -24,9 +24,12 @@ receives the dialed phase. Branches sharing just j or just k pick up -1 from
 a completed pulse pair; composing the d*d runs cancels every -1, leaving the
 pure diagonal phase gate.
 
-There is one schedule path: ``build_phase_gate_schedule`` compiles the 5*d*d
-pulses of the composed gate into one ``PulseSchedule`` of arrays and one
-private loop fires them, for ``execute_schedule`` and ``verify_hybrid_gate`` alike.
+There is one schedule type and one schedule path: a ``PulseSchedule`` holds a
+pulse sequence as read-only arrays, ``build_phase_gate_schedule`` compiles the
+5*d*d pulses of the composed gate into one, and one private loop fires it, for
+``execute_schedule`` and ``verify_hybrid_gate`` alike. The state clock is the
+schedule's own pulse times: after a schedule the state time is its last pulse
+time, exactly.
 
 Conventions and idealizations:
   * Rotating frame: band amplitudes rotate at the spectrum's frequency
@@ -64,10 +67,8 @@ Conventions and idealizations:
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import warnings
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +102,10 @@ class TrapParams:
     omega_ge: float = 50.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.omega_ge) or self.omega_ge <= 0:
-            raise ValueError(f"omega_ge must be positive and finite, got {self.omega_ge}")
+        # the auxiliary map squares omega_ge, so its square must be finite too (omega_ge below ~1.34e154)
+        omega = float(self.omega_ge)
+        if not (omega > 0 and math.isfinite(omega * omega)):
+            raise ValueError(f"omega_ge must be positive and finite, with a finite square, got {self.omega_ge}")
 
 
 def _per_state(x: np.ndarray) -> float | np.ndarray:
@@ -307,39 +310,12 @@ def _aux_map(detuning: float, omega_ge: float, multiplicity: int) -> tuple[compl
     return trace * (c - tilt), trace * mix, trace * mix, trace * (c + tilt)
 
 
-@dataclass(frozen=True)
-class PulseStep:
-    """One scheduled pulse: what to fire and when.
-
-    Swaps act on the target ion and sidebands on the control ion, both with
-    area pi; the auxiliary drive acts on the target ion.
-    """
-
-    kind: str
-    time: float
-    target_level: int | None = None
-    detuning: float = 0.0
-    multiplicity: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in PULSE_KINDS:
-            raise ValueError(f"kind must be one of {PULSE_KINDS}, got {self.kind!r}")
-        if self.kind == "sideband" and self.target_level is None:
-            raise ValueError("sideband steps need a target_level")
-        if type(self.target_level) not in (int, type(None)) or (self.target_level or 0) < 0:  # no bools
-            raise ValueError(f"target_level must be an int >= 0, got {self.target_level!r}")
-        if type(self.multiplicity) is not int or self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be an int >= 1, got {self.multiplicity!r}")
-        if not (math.isfinite(self.time) and math.isfinite(self.detuning)):
-            raise ValueError(f"time and detuning must be finite, got {self.time} and {self.detuning}")
-
-
 @dataclass(frozen=True, eq=False)
 class PulseSchedule:
     """A compiled pulse schedule: read-only columns checked once, vectorized, one entry per pulse.
 
-    ``kinds`` indexes PULSE_KINDS, ``levels`` holds the sideband's level (-1 for none). Iteration
-    gives PulseSteps and a slice gives a schedule; hand-written steps enter through ``from_steps``.
+    ``kinds`` indexes PULSE_KINDS, ``levels`` holds the sideband's level (-1 for none). A slice
+    gives a schedule; a hand-written schedule is built from its five columns.
     """
 
     kinds: np.ndarray
@@ -365,28 +341,19 @@ class PulseSchedule:
         _require_all(levels + (kinds != _SIDEBAND) >= 0, "levels must be >= 0, or -1 off sidebands", levels)
         _require_all(multiplicities >= 1, "multiplicities must be >= 1", multiplicities)
 
-    @classmethod
-    def from_steps(cls, steps: Iterable[PulseStep]) -> "PulseSchedule":
-        rows = [(PULSE_KINDS.index(s.kind), s.time, -1 if s.target_level is None else s.target_level,
-                 s.detuning, s.multiplicity) for s in steps]
-        return cls(*(zip(*rows) if rows else [()] * 5))
-
     def __len__(self) -> int:
         return len(self.times)
 
     def __getitem__(self, pulses: slice) -> "PulseSchedule":
         return PulseSchedule(*(column[pulses] for column in vars(self).values()))
 
-    def __iter__(self) -> Iterator[PulseStep]:
-        for kind, time, level, detuning, mult in zip(*(column.tolist() for column in vars(self).values())):
-            yield PulseStep(PULSE_KINDS[kind], time, None if level < 0 else level, detuning, mult)
 
-
-def execute_schedule(state: JointIonState, steps: PulseSchedule | Iterable[PulseStep], params: TrapParams,
+def execute_schedule(state: JointIonState, steps: PulseSchedule, params: TrapParams,
                      spectrum: RydbergSpectrum) -> JointIonState:
     """Apply the steps in order at their nominal times, evolving freely in between.
 
     Every step fires in place on one frame copy (module notes); ``state.amps`` is never written.
+    The state comes out at the last pulse's time, or at ``state.t`` for an empty schedule.
     """
     maps, t, frame = _pulse_maps(steps, state.t, params, spectrum)
     buf = _to_frame(state, spectrum)
@@ -419,7 +386,7 @@ def _split(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, f - hi
 
 
-def _pulse_maps(steps: PulseSchedule | Iterable[PulseStep], t: float, params: TrapParams,
+def _pulse_maps(steps: PulseSchedule, t: float, params: TrapParams,
                 spectrum: RydbergSpectrum) -> tuple[np.ndarray, float, np.ndarray]:
     """(maps, time after the last step, frame phases there) for a frame buffer at time t.
 
@@ -429,12 +396,8 @@ def _pulse_maps(steps: PulseSchedule | Iterable[PulseStep], t: float, params: Tr
     """
     if not math.isfinite(t):
         raise ValueError(f"a schedule needs a finite start time, got {t}")
-    if not isinstance(steps, PulseSchedule):
-        steps = PulseSchedule.from_steps(steps)
     d, kinds, times = spectrum.d, steps.kinds, steps.times
-    # the state time before each step and after the last, advanced as t + (time - t)
-    clock = np.fromiter(itertools.accumulate(times.tolist(), lambda now, time: now + (time - now), initial=t),
-                        np.float64, len(times) + 1)
+    clock = np.concatenate(([t], times))  # the state time before each step and after the last
     _require_all(times >= clock[:-1] - 1e-9, "schedules run forward: no step before the state time", times)
     frames = _frame_phases(spectrum, clock - t)
     _require_all(np.isfinite(frames).all(axis=1), "frame phases w_j * tau split exactly only for pulse times "

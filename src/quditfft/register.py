@@ -7,7 +7,6 @@ is the least significant.
 """
 from __future__ import annotations
 
-import itertools
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -66,7 +65,7 @@ class RegisterShape:
         if self.q < 1:
             raise ValueError(f"register needs at least one qudit, got q={self.q}")
         check_amplitude_count(
-            itertools.repeat(self.d, self.q),
+            (self.d for _ in range(self.q)),
             f"register of {self.d}**{self.q} amplitudes",
             self.max_amps,
         )

@@ -14,7 +14,7 @@ from quditfft import (
     AtomState,
     JointIonState,
     PulseProfile,
-    PulseStep,
+    PulseSchedule,
     RabiCouplings,
     RegisterShape,
     RydbergSpectrum,
@@ -232,8 +232,10 @@ def test_criterion_09_detuning_solver():
         detuning = solve_aux_detuning(phi, omega)
         amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
         amps[0, d, 1] = 1.0  # |target ground, one phonon>
-        # one aux step at the state's own time: no free evolution runs
-        out = execute_schedule(JointIonState(d, amps), [PulseStep("aux", 0.0, detuning=detuning)], params, spectrum)
+        # one aux step at the state's own time, so no free evolution runs; the columns are
+        # (kind, time, level, detuning, multiplicity), kind 2 the auxiliary drive
+        step = PulseSchedule([2], [0.0], [-1], [detuning], [1])
+        out = execute_schedule(JointIonState(d, amps), step, params, spectrum)
         amp = out.amps[0, d, 1]
         err = abs((np.angle(amp) - phi + math.pi) % (2.0 * math.pi) - math.pi)
         worst = max(worst, err, abs(abs(amp) - 1.0))

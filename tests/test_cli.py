@@ -151,7 +151,7 @@ def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, ke
     [("d", 2.5), ("q", "3"), ("n_samples", 2.5), ("seed", 1.5), ("d", True), ("multiplicity", None),
      ("tolerance", "1e-10"), ("n_samples", 0), ("n_samples", -3), ("tolerance", -1.0), ("tolerance", 0),
      # read only by the trap gate or the pulse runner, yet rejected in every mode
-     ("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0), ("pulse_shape", "triangle"),
+     ("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0), ("omega_ge", 1e155), ("pulse_shape", "triangle"),
      ("n_bar", -1), ("n_bar", 0), ("n_bar", 1e200), ("seed", -1)],
 )
 def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys, key, value):
@@ -287,6 +287,14 @@ def test_out_file_and_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8
     assert "leakage" in rows[0]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_path_exits_two_naming_it(tmp_path, capsys, flag):
+    path = tmp_path / "no such dir" / "report"
+    code, _, err = run_cli(capsys, "--mode", "pulse", flag, str(path))
+    assert code == 2
+    assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
 def test_reports_are_byte_identical_across_reruns(tmp_path, capsys):
