@@ -18,10 +18,14 @@ failed, 2 for unusable arguments or configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -30,7 +34,7 @@ from .constants import EPS_FIDELITY, EPS_PULSE, EPS_TRAP_RESIDUAL, EPS_UNITARY
 from .errors import ConfigurationError, ContractError
 from .gates import verify_fft_equivalence
 from .iontrap import (
-    TrapParams, check_gate_qudits, check_kepler_periods, check_multiplicity, verify_hybrid_gate
+    MAX_FRAME_TIME, TrapParams, check_gate_qudits, check_kepler_periods, check_multiplicity, verify_hybrid_gate
 )
 from .pulses import (
     PULSE_SHAPES,
@@ -53,8 +57,6 @@ from .wavepacket import (
     free_evolve,
     wavepacket_basis_matrix,
 )
-
-MODES = ("verify-qft", "wavepacket", "pulse", "iontrap", "full")
 
 REPORT_SCHEMA = 2
 
@@ -115,7 +117,7 @@ class RunConfig:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.pulse_duration_ratio <= 0:
             raise ConfigurationError(
-                f"pulse duration ratio must be positive, got {self.pulse_duration_ratio}"
+                f"pulse_duration_ratio must be positive, got {self.pulse_duration_ratio}"
             )
         if self.pulse_shape not in PULSE_SHAPES:
             raise ConfigurationError(
@@ -123,7 +125,7 @@ class RunConfig:
             )
         # the spectrum, trap and register fields are checked in every mode, by the rules their layers apply
         try:
-            _spectrum_from(self)
+            t_kepler = _spectrum_from(self).t_kepler
             TrapParams(omega_ge=self.omega_ge)
             check_multiplicity(self.multiplicity)
             check_kepler_periods(self.kepler_periods)
@@ -131,11 +133,17 @@ class RunConfig:
             RegisterShape(self.d, self.trap_q)  # trap_q >= q, so this caps the gate register too
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
+        # the iontrap gate's d*d runs end within this bound; its frame phases are exact only below the limit
+        if self.d**2 * (self.kepler_periods + 1) * t_kepler >= MAX_FRAME_TIME:
+            raise ConfigurationError(f"n_bar must be small enough that the gate's pulse time bound "
+                                     f"d²·(kepler_periods + 1)·2π n̄³ stays below {MAX_FRAME_TIME:.4g}, "
+                                     f"got {self.n_bar}")
 
 
 def _config_from_sources(args: argparse.Namespace) -> RunConfig:
     """Defaults, then JSON config file, then explicit flags."""
     values: dict = {}
+    known = {f.name for f in fields(RunConfig)}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -146,28 +154,12 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
         unknown = sorted(set(loaded) - known)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
         values.update(loaded)
-
-    flag_map = {
-        "mode": args.mode,
-        "d": args.d,
-        "q": args.q,
-        "seed": args.seed,
-        "truncation": args.spectrum_truncation,
-        "pulse_duration_ratio": args.pulse_duration,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            values[key] = val
-
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad config value: {exc}") from exc
+    values.update((key, val) for key, val in vars(args).items() if key in known and val is not None)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -186,7 +178,7 @@ def _spectrum_from(cfg: RunConfig) -> RydbergSpectrum:
     )
 
 
-def _run_verify_qft(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
+def _run_qft(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
     shape = RegisterShape(cfg.d, cfg.q)
     report = verify_fft_equivalence(
         shape, tol=cfg.tolerance, seed=cfg.seed, n_samples=cfg.n_samples
@@ -298,72 +290,46 @@ def _run_iontrap(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
     return asdict(report), passed, rows
 
 
+# the layer runners in the order --mode full runs them; each is also a mode of its own
+_LAYERS = {
+    "verify-qft": _run_qft,
+    "wavepacket": _run_wavepacket,
+    "pulse": _run_pulse,
+    "iontrap": _run_iontrap,
+}
+MODES = (*_LAYERS, "full")
+
+
 def _run_full(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
     results: dict = {}
     rows: list[dict] = []
     passed = True
-    for name, runner in (
-        ("verify_qft", _run_verify_qft),
-        ("wavepacket", _run_wavepacket),
-        ("pulse", _run_pulse),
-        ("iontrap", _run_iontrap),
-    ):
+    for mode, runner in _LAYERS.items():
+        name = mode.replace("-", "_")
         sub_results, sub_passed, sub_rows = runner(cfg)
         results[name] = {"results": sub_results, "passed": sub_passed}
         passed = passed and sub_passed
-        for row in sub_rows:
-            rows.append({"section": name, **row})
+        rows += [{"section": name, **row} for row in sub_rows]
     return results, passed, rows
-
-
-_RUNNERS = {
-    "verify-qft": _run_verify_qft,
-    "wavepacket": _run_wavepacket,
-    "pulse": _run_pulse,
-    "iontrap": _run_iontrap,
-    "full": _run_full,
-}
-
-
-def _jsonable(obj):
-    """Recursively coerce numpy scalars/arrays so json.dumps stays deterministic."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 def render_report(cfg: RunConfig, results: dict, passed: bool) -> str:
     report = {
         "schema": REPORT_SCHEMA,
         "mode": cfg.mode,
-        "config": _jsonable(asdict(cfg)),
-        "results": _jsonable(results),
-        "passed": bool(passed),
+        "config": asdict(cfg),
+        "results": results,
+        "passed": passed,
     }
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
-    fieldnames: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(_jsonable(row))
+        writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,12 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     parser.add_argument(
         "--spectrum-truncation",
+        dest="truncation",
         choices=TRUNCATIONS,
         default=None,
         help="how many Taylor terms of the level spectrum to keep",
     )
     parser.add_argument(
         "--pulse-duration",
+        dest="pulse_duration_ratio",
         type=float,
         default=None,
         help="pulse duration as a fraction of the Kepler period",
@@ -393,36 +361,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reserve(path: str) -> str:
+    """A new empty file beside ``path`` to take its content, so an unwritable path fails before the run.
+
+    It gets the mode a file newly opened at ``path`` would; an OSError names ``path``.
+    """
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.")
+    except OSError as exc:
+        exc.filename = path
+        raise
+    os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(tmp, 0o666 & ~umask)
+    return tmp
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # "out"/"csv" -> the file beside that path which takes its content; moved over it only once both are written
+    staged: dict[str, str] = {}
     try:
         cfg = _config_from_sources(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        results, passed, rows = _RUNNERS[cfg.mode](cfg)
-    except (ConfigurationError, ValueError) as exc:
+        for flag in ("out", "csv"):
+            if getattr(args, flag) is not None:
+                staged[flag] = _reserve(getattr(args, flag))
+        results, passed, rows = (_run_full if cfg.mode == "full" else _LAYERS[cfg.mode])(cfg)
+        text = render_report(cfg, results, passed)
+        if args.out is not None:
+            with open(staged["out"], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if args.csv is not None:
+            _write_csv(staged["csv"], rows)
+        for flag, tmp in staged.items():
+            os.replace(tmp, getattr(args, flag))
+        if args.out is None:
+            sys.stdout.write(text)
+    except ValueError as exc:  # ConfigurationError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractError as exc:
         print(f"contract violated: {exc}", file=sys.stderr)
         return 1
-
-    text = render_report(cfg, results, passed)
-    try:
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        if args.csv is not None:
-            _write_csv(args.csv, rows)
     except OSError as exc:
         print(f"error: cannot write {exc.filename or 'the report'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    finally:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
     return 0 if passed else 1
 
 

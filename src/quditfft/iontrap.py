@@ -53,8 +53,8 @@ Conventions and idealizations:
     exp(-i w_j tau) on the entry into |ground, 1>; the auxiliary drive is
     unchanged. Every phase and 2x2 map of a schedule is made before the first
     pulse fires, each phase argument w_j tau reduced mod 2 pi from its exact
-    float product (refused beyond ~1.3e300). U and U^dag appear only at the
-    state boundary; the input is never written. ``verify_hybrid_gate`` loads
+    float product (refused from tau = MAX_FRAME_TIME ~ 1.339e300 on). U and
+    U^dag appear only at the state boundary; the input is never written. ``verify_hybrid_gate`` loads
     U[:, k0] for the d*d basis states (j0, k0) into one such buffer, fires
     the schedule run by run, reads the trap row after each run, and reads its
     process matrix as U^dag e~, the final state evolved back to tau = 0.
@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -81,6 +82,8 @@ from .wavepacket import RydbergSpectrum, _packet_matrices, level_offsets
 PULSE_KINDS = ("packet_swap", "sideband", "aux")
 _SWAP, _SIDEBAND, _AUX = range(len(PULSE_KINDS))  # the kind codes of a PulseSchedule
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
+_SPLITTER = 134217729.0  # 2**27 + 1, splits a float into two 26-bit halves
+MAX_FRAME_TIME = sys.float_info.max / _SPLITTER  # ~1.339e300: from this time on, the split of tau overflows
 _UPDATE_BYTES = 1 << 18  # a swap updates the level rows in blocks whose outer product stays in cache
 
 # Ion axis layout: the control ion uses indices 0..d-1 for band levels in the
@@ -156,7 +159,7 @@ class JointIonState:
         require_unit_norm(self.norm(), "joint state", tol)
 
     def trap_excited_population(self) -> float | np.ndarray:
-        # C order: a view of a target-leading frame buffer sums in a fresh state's order
+        # C order: the sum runs in one order for any memory layout, so a view gives a fresh state's bits
         return _per_state(np.sum(np.abs(self.amps[..., 1], order="C") ** 2, axis=(-2, -1)))
 
     def aux_population(self) -> float | np.ndarray:
@@ -338,8 +341,12 @@ class PulseSchedule:
         _require_all((kinds >= 0) & (kinds < len(PULSE_KINDS)), f"kinds must index {PULSE_KINDS}", kinds)
         _require_all(np.isfinite(times), "times must be finite", times)
         _require_all(np.isfinite(detunings), "detunings must be finite", detunings)
-        _require_all(levels + (kinds != _SIDEBAND) >= 0, "levels must be >= 0, or -1 off sidebands", levels)
-        _require_all(multiplicities >= 1, "multiplicities must be >= 1", multiplicities)
+        # a kind fires only its own fields, so a value in a field it never reads is refused
+        _require_all(np.where(kinds == _SIDEBAND, levels >= 0, levels == -1), "levels must be >= 0 on sidebands "
+                     "and -1 off them", levels)
+        _require_all((kinds == _AUX) | (detunings == 0), "detunings must be 0 off auxiliary drives", detunings)
+        _require_all(np.where(kinds == _AUX, multiplicities >= 1, multiplicities == 1), "multiplicities must be "
+                     ">= 1 on auxiliary drives and 1 off them", multiplicities)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -366,8 +373,8 @@ def _frame_phases(spectrum: RydbergSpectrum, times: np.ndarray) -> np.ndarray:
 
     w_j * tau is reduced mod 2 pi from the exact product of the two floats
     (Dekker 1971), so a late phase rounds like an early one; the rounded
-    product alone would be off by up to half an ulp of its ~1e4 rad. Past
-    |tau| ~ 1.3e300 the split overflows and the phase comes out not finite.
+    product alone would be off by up to half an ulp of its ~1e4 rad. From
+    |tau| = MAX_FRAME_TIME on the split overflows and the phase comes out not finite.
     """
     w = spectrum.frequency_offsets()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -381,7 +388,7 @@ def _frame_phases(spectrum: RydbergSpectrum, times: np.ndarray) -> np.ndarray:
 
 def _split(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f = hi + lo exactly, each half with at most 26 significant bits."""
-    hi = 134217729.0 * f  # 2**27 + 1
+    hi = _SPLITTER * f
     hi -= hi - f
     return hi, f - hi
 
@@ -399,9 +406,10 @@ def _pulse_maps(steps: PulseSchedule, t: float, params: TrapParams,
     d, kinds, times = spectrum.d, steps.kinds, steps.times
     clock = np.concatenate(([t], times))  # the state time before each step and after the last
     _require_all(times >= clock[:-1] - 1e-9, "schedules run forward: no step before the state time", times)
+    _require_all(np.abs(clock - t) < MAX_FRAME_TIME, "frame phases w_j * tau split exactly only for pulse "
+                 "times within ~1.3e300 of the schedule's start", clock)
     frames = _frame_phases(spectrum, clock - t)
-    _require_all(np.isfinite(frames).all(axis=1), "frame phases w_j * tau split exactly only for pulse times "
-                 "within ~1.3e300 of the schedule's start", clock)
+    _require_all(np.isfinite(frames).all(axis=1), "frame phases w_j * tau must be finite at every pulse time", clock)
     sideband, aux = kinds == _SIDEBAND, kinds == _AUX
     level = steps.levels[sideband]
     _require_all(level < d, f"level digit must be in [0, {d})", level)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import time
 import warnings
 
@@ -67,6 +68,17 @@ def test_full_mode_aggregates_sections(tmp_path, capsys):
         assert report["results"][section]["passed"] is True
     # the revival ratio also turns on the dispersion sweep
     assert "dispersion_fidelity_vs_t_rev" in report["results"]["wavepacket"]["results"]
+
+
+def test_full_mode_runs_the_layer_table_in_order(tmp_path, capsys):
+    # one section per layer mode, named by the mode with "-" as "_", in results and in CSV rows alike
+    csv_path = tmp_path / "rows.csv"
+    code, out, _ = run_cli(capsys, "--mode", "full", "--d", "2", "--csv", str(csv_path))
+    assert code == 0
+    sections = [mode.replace("-", "_") for mode in MODES if mode != "full"]
+    assert sorted(json.loads(out)["results"]) == sorted(sections)
+    with open(csv_path, newline="") as fh:
+        assert list(dict.fromkeys(row["section"] for row in csv.DictReader(fh))) == sections
 
 
 def test_failing_check_exits_one(tmp_path, capsys):
@@ -152,7 +164,8 @@ def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, ke
      ("tolerance", "1e-10"), ("n_samples", 0), ("n_samples", -3), ("tolerance", -1.0), ("tolerance", 0),
      # read only by the trap gate or the pulse runner, yet rejected in every mode
      ("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0), ("omega_ge", 1e155), ("pulse_shape", "triangle"),
-     ("n_bar", -1), ("n_bar", 0), ("n_bar", 1e200), ("seed", -1)],
+     ("n_bar", -1), ("n_bar", 0), ("n_bar", 1e200), ("seed", -1),
+     ("pulse_duration_ratio", 0), ("pulse_duration_ratio", -1)],
 )
 def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -209,15 +222,20 @@ def test_fractional_kepler_periods_warns_and_fails_the_gate(tmp_path, capsys):
 
 
 def test_gate_times_beyond_exact_frame_phases_exit_two(tmp_path, capsys):
-    # n_bar = 1e100 makes T_K ~ 6e300: the gate's pulse times cannot be split for exact frame phases
+    # the gate's pulse times stay below d^2 (kepler_periods + 1) T_K: 1.7e299 at n_bar = 1e99 and d = 3, but
+    # 1.4e300 at 2e99, past the 1.339e300 from which they cannot be split for exact frame phases
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mode": "iontrap", "n_bar": 1e100}))
+    for mode in MODES:
+        for n_bar in (2e99, 1e100):
+            cfg.write_text(json.dumps({"mode": mode, "n_bar": n_bar}))
+            code, out, err = run_cli(capsys, "--config", str(cfg))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: n_bar must be")
+    cfg.write_text(json.dumps({"mode": "iontrap", "n_bar": 1e99}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: frame phases w_j * tau split exactly only for pulse times within ~1.3e300")
+        assert run_cli(capsys, "--config", str(cfg))[0] == 0
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -287,6 +305,11 @@ def test_out_file_and_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8
     assert "leakage" in rows[0]
+    # each file is a plain new file at its path: the mode open() gives it, no temporary file left beside it
+    umask = os.umask(0)
+    os.umask(umask)
+    assert {path.stat().st_mode & 0o777 for path in (out_path, csv_path)} == {0o666 & ~umask}
+    assert sorted(tmp_path.iterdir()) == [csv_path, out_path]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
@@ -295,6 +318,36 @@ def test_unwritable_output_path_exits_two_naming_it(tmp_path, capsys, flag):
     code, _, err = run_cli(capsys, "--mode", "pulse", flag, str(path))
     assert code == 2
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("bad", ["--out", "--csv"])
+def test_unwritable_output_path_fails_before_the_run_and_writes_neither(tmp_path, capsys, monkeypatch, bad):
+    def ran(cfg):
+        raise AssertionError("the mode ran")
+
+    monkeypatch.setitem(cli._LAYERS, "pulse", ran)
+    paths = {"--out": tmp_path / "ok.json", "--csv": tmp_path / "ok.csv", bad: tmp_path / "no such dir" / "x"}
+    code, out, err = run_cli(capsys, "--mode", "pulse", *(str(arg) for pair in paths.items() for arg in pair))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {paths[bad]}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_leaves_existing_outputs_as_they_were(tmp_path, capsys, monkeypatch):
+    def fails(cfg):
+        raise ValueError("no such physics")
+
+    monkeypatch.setitem(cli._LAYERS, "pulse", fails)
+    out_path, csv_path = tmp_path / "report.json", tmp_path / "points.csv"
+    out_path.write_text("old report")
+    csv_path.write_text("old rows")
+    code, out, err = run_cli(capsys, "--mode", "pulse", "--out", str(out_path), "--csv", str(csv_path))
+    assert code == 2
+    assert err == "error: no such physics\n"
+    assert out_path.read_text() == "old report"
+    assert csv_path.read_text() == "old rows"
+    assert sorted(tmp_path.iterdir()) == [csv_path, out_path]
 
 
 def test_reports_are_byte_identical_across_reruns(tmp_path, capsys):
@@ -307,13 +360,18 @@ def test_reports_are_byte_identical_across_reruns(tmp_path, capsys):
 
 
 def test_config_file_overridden_by_flags(tmp_path, capsys):
+    # every flag that names a RunConfig field overrides the config file's value, and only that one
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mode": "verify-qft", "d": 2, "q": 3}))
-    code, out, _ = run_cli(capsys, "--config", str(cfg), "--d", "4")
-    assert code == 0
-    report = json.loads(out)
-    assert report["config"]["d"] == 4
-    assert report["config"]["q"] == 3
+    base = {"mode": "verify-qft", "d": 2, "q": 3, "seed": 5, "truncation": "kepler", "t_rev_ratio": 100.0,
+            "pulse_duration_ratio": 0.05}
+    for flag, key, value in [("--mode", "mode", "wavepacket"), ("--d", "d", 4), ("--q", "q", 2), ("--seed", "seed", 7),
+                             ("--spectrum-truncation", "truncation", "revival"),
+                             ("--pulse-duration", "pulse_duration_ratio", 0.02)]:
+        cfg.write_text(json.dumps(base))
+        code, out, _ = run_cli(capsys, "--config", str(cfg), flag, str(value))
+        assert code == 0
+        got = json.loads(out)["config"]
+        assert got == {**got, **base, key: value}
 
 
 def test_pulse_duration_flag_feeds_chosen_leakage(capsys):

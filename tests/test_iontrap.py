@@ -242,6 +242,10 @@ def test_pulse_step_validation():
         (2, 0.0, -1, 0.0, 2.5),
         (2, 0.0, -1, 0.0, True),
         (2, 0.0, -1, 0.0, 2.0),
+        # a field the kind never reads: a level off sidebands, a detuning or multiplicity off aux drives
+        (0, 0.0, 7, 0.0, 1),
+        (0, 0.0, -1, 3.0, 1),
+        (0, 0.0, -1, 0.0, 4),
     ]:
         with pytest.raises(ValueError):
             PulseSchedule(*([value] for value in row))
