@@ -20,13 +20,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import errno
 import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields
+from typing import TextIO
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .constants import EPS_FIDELITY, EPS_PULSE, EPS_TRAP_RESIDUAL, EPS_UNITARY
 from .errors import ConfigurationError, ContractError
 from .gates import verify_fft_equivalence
 from .iontrap import (
-    MAX_FRAME_TIME, TrapParams, check_gate_qudits, check_kepler_periods, check_multiplicity, verify_hybrid_gate
+    TrapParams, check_gate_qudits, check_gate_time, check_kepler_periods, check_multiplicity, verify_hybrid_gate
 )
 from .pulses import (
     PULSE_SHAPES,
@@ -125,19 +124,15 @@ class RunConfig:
             )
         # the spectrum, trap and register fields are checked in every mode, by the rules their layers apply
         try:
-            t_kepler = _spectrum_from(self).t_kepler
+            spectrum = _spectrum_from(self)
             TrapParams(omega_ge=self.omega_ge)
             check_multiplicity(self.multiplicity)
             check_kepler_periods(self.kepler_periods)
+            check_gate_time(spectrum, self.kepler_periods)  # a bound, so no schedule is built here
             check_gate_qudits(self.control_index, self.target_index, self.trap_q)
             RegisterShape(self.d, self.trap_q)  # trap_q >= q, so this caps the gate register too
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
-        # the iontrap gate's d*d runs end within this bound; its frame phases are exact only below the limit
-        if self.d**2 * (self.kepler_periods + 1) * t_kepler >= MAX_FRAME_TIME:
-            raise ConfigurationError(f"n_bar must be small enough that the gate's pulse time bound "
-                                     f"d²·(kepler_periods + 1)·2π n̄³ stays below {MAX_FRAME_TIME:.4g}, "
-                                     f"got {self.n_bar}")
 
 
 def _config_from_sources(args: argparse.Namespace) -> RunConfig:
@@ -324,12 +319,10 @@ def render_report(cfg: RunConfig, results: dict, passed: bool) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_csv(fh: TextIO, rows: list[dict]) -> None:
+    writer = csv.DictWriter(fh, fieldnames=list(dict.fromkeys(key for row in rows for key in row)), restval="")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,43 +354,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reserve(path: str) -> str:
-    """A new empty file beside ``path`` to take its content, so an unwritable path fails before the run.
-
-    It gets the mode a file newly opened at ``path`` would; an OSError names ``path``.
-    """
-    try:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}.")
-    except OSError as exc:
-        exc.filename = path
-        raise
-    os.close(fd)
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(tmp, 0o666 & ~umask)
-    return tmp
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # "out"/"csv" -> the file beside that path which takes its content; moved over it only once both are written
-    staged: dict[str, str] = {}
+    # "out"/"csv" -> its file, opened to append before the run: an unwritable path fails first, none is truncated
+    files: dict[str, TextIO] = {}
+    made: list[str] = []  # the files opened here that did not exist, removed again unless every file is written
     try:
         cfg = _config_from_sources(args)
         for flag in ("out", "csv"):
-            if getattr(args, flag) is not None:
-                staged[flag] = _reserve(getattr(args, flag))
+            path = getattr(args, flag)
+            if path is not None:
+                if not os.path.exists(path):
+                    made.append(os.path.realpath(path))
+                files[flag] = open(path, "a", encoding="utf-8", newline="" if flag == "csv" else None)
         results, passed, rows = (_run_full if cfg.mode == "full" else _LAYERS[cfg.mode])(cfg)
         text = render_report(cfg, results, passed)
-        if args.out is not None:
-            with open(staged["out"], "w", encoding="utf-8") as fh:
+        for flag, fh in files.items():
+            if os.path.isfile(fh.name):  # a pipe or a device is written as it is
+                fh.truncate(0)
+            if flag == "out":
                 fh.write(text)
-        if args.csv is not None:
-            _write_csv(staged["csv"], rows)
-        for flag, tmp in staged.items():
-            os.replace(tmp, getattr(args, flag))
+            else:
+                _write_csv(fh, rows)
+            fh.close()
+        made.clear()
         if args.out is None:
             sys.stdout.write(text)
     except ValueError as exc:  # ConfigurationError too
@@ -410,9 +390,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write {exc.filename or 'the report'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     finally:
-        for tmp in staged.values():
+        for fh in files.values():
+            with contextlib.suppress(OSError):  # the error in hand is the one reported
+                fh.close()
+        for path in made:
             with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+                os.remove(path)
     return 0 if passed else 1
 
 

@@ -53,7 +53,7 @@ Conventions and idealizations:
     exp(-i w_j tau) on the entry into |ground, 1>; the auxiliary drive is
     unchanged. Every phase and 2x2 map of a schedule is made before the first
     pulse fires, each phase argument w_j tau reduced mod 2 pi from its exact
-    float product (refused from tau = MAX_FRAME_TIME ~ 1.339e300 on). U and
+    float product (refused from tau ~ 1.339e300 on). U and
     U^dag appear only at the state boundary; the input is never written. ``verify_hybrid_gate`` loads
     U[:, k0] for the d*d basis states (j0, k0) into one such buffer, fires
     the schedule run by run, reads the trap row after each run, and reads its
@@ -83,7 +83,7 @@ PULSE_KINDS = ("packet_swap", "sideband", "aux")
 _SWAP, _SIDEBAND, _AUX = range(len(PULSE_KINDS))  # the kind codes of a PulseSchedule
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
 _SPLITTER = 134217729.0  # 2**27 + 1, splits a float into two 26-bit halves
-MAX_FRAME_TIME = sys.float_info.max / _SPLITTER  # ~1.339e300: from this time on, the split of tau overflows
+_MAX_FRAME_TIME = sys.float_info.max / _SPLITTER  # ~1.339e300: from this time on, the split of tau overflows
 _UPDATE_BYTES = 1 << 18  # a swap updates the level rows in blocks whose outer product stays in cache
 
 # Ion axis layout: the control ion uses indices 0..d-1 for band levels in the
@@ -248,6 +248,16 @@ def check_kepler_periods(kepler_periods: float) -> None:
         raise ValueError(f"kepler_periods must be finite and at least 1, got {kepler_periods}")
 
 
+def check_gate_time(spectrum: RydbergSpectrum, kepler_periods: float) -> None:
+    """A gate's runs each start within a period of the last and span kepler_periods, so its d*d runs end
+    before d^2 (kepler_periods + 1) T_K; n_bar is named if even one-period runs pass the limit."""
+    for name, periods in (("n_bar", 1), ("kepler_periods", kepler_periods)):
+        if spectrum.d**2 * (periods + 1) * spectrum.t_kepler >= _MAX_FRAME_TIME:
+            raise ValueError(f"{name} must be small enough that d²·(kepler_periods + 1)·T_K, the bound on a gate's "
+                             f"pulse times, stays below {_MAX_FRAME_TIME:.4g}, got d = {spectrum.d}, "
+                             f"n_bar = {spectrum.n_bar}, kepler_periods = {kepler_periods}")
+
+
 def check_gate_qudits(l: int, m: int, q: int) -> None:
     """A phase gate couples a control qudit l to a target qudit m with 0 <= l < m < q."""
     if not 0 <= l < m < q:
@@ -374,7 +384,7 @@ def _frame_phases(spectrum: RydbergSpectrum, times: np.ndarray) -> np.ndarray:
     w_j * tau is reduced mod 2 pi from the exact product of the two floats
     (Dekker 1971), so a late phase rounds like an early one; the rounded
     product alone would be off by up to half an ulp of its ~1e4 rad. From
-    |tau| = MAX_FRAME_TIME on the split overflows and the phase comes out not finite.
+    |tau| = _MAX_FRAME_TIME on the split overflows and the phase comes out not finite.
     """
     w = spectrum.frequency_offsets()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -406,7 +416,7 @@ def _pulse_maps(steps: PulseSchedule, t: float, params: TrapParams,
     d, kinds, times = spectrum.d, steps.kinds, steps.times
     clock = np.concatenate(([t], times))  # the state time before each step and after the last
     _require_all(times >= clock[:-1] - 1e-9, "schedules run forward: no step before the state time", times)
-    _require_all(np.abs(clock - t) < MAX_FRAME_TIME, "frame phases w_j * tau split exactly only for pulse "
+    _require_all(np.abs(clock - t) < _MAX_FRAME_TIME, "frame phases w_j * tau split exactly only for pulse "
                  "times within ~1.3e300 of the schedule's start", clock)
     frames = _frame_phases(spectrum, clock - t)
     _require_all(np.isfinite(frames).all(axis=1), "frame phases w_j * tau must be finite at every pulse time", clock)

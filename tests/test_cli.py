@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -165,7 +166,7 @@ def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, ke
      # read only by the trap gate or the pulse runner, yet rejected in every mode
      ("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0), ("omega_ge", 1e155), ("pulse_shape", "triangle"),
      ("n_bar", -1), ("n_bar", 0), ("n_bar", 1e200), ("seed", -1),
-     ("pulse_duration_ratio", 0), ("pulse_duration_ratio", -1)],
+     ("pulse_duration_ratio", 0), ("pulse_duration_ratio", -1), ("kepler_periods", 1e299)],
 )
 def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -222,20 +223,22 @@ def test_fractional_kepler_periods_warns_and_fails_the_gate(tmp_path, capsys):
 
 
 def test_gate_times_beyond_exact_frame_phases_exit_two(tmp_path, capsys):
-    # the gate's pulse times stay below d^2 (kepler_periods + 1) T_K: 1.7e299 at n_bar = 1e99 and d = 3, but
-    # 1.4e300 at 2e99, past the 1.339e300 from which they cannot be split for exact frame phases
+    # the gate's pulse times stay below d^2 (kepler_periods + 1) T_K, which at d = 3 must stay below the
+    # 1.339e300 from which they cannot be split for exact frame phases: n_bar is named when even one-period
+    # runs pass it (n_bar >= 2.28e99), kepler_periods when fewer periods would not (2e99 at two periods)
     cfg = tmp_path / "cfg.json"
     for mode in MODES:
-        for n_bar in (2e99, 1e100):
+        for n_bar, field in ((1e100, "n_bar"), (5e99, "n_bar"), (2e99, "kepler_periods")):
             cfg.write_text(json.dumps({"mode": mode, "n_bar": n_bar}))
             code, out, err = run_cli(capsys, "--config", str(cfg))
             assert code == 2
             assert out == ""
-            assert err.startswith("error: n_bar must be")
-    cfg.write_text(json.dumps({"mode": "iontrap", "n_bar": 1e99}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli(capsys, "--config", str(cfg))[0] == 0
+            assert err.startswith(f"error: {field} must be")
+    for config in ({"n_bar": 1e99}, {"n_bar": 2e99, "kepler_periods": 1}):
+        cfg.write_text(json.dumps({"mode": "iontrap", **config}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, "--config", str(cfg))[0] == 0
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -305,7 +308,7 @@ def test_out_file_and_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8
     assert "leakage" in rows[0]
-    # each file is a plain new file at its path: the mode open() gives it, no temporary file left beside it
+    # each file is a plain new file at its path with the mode open() gives it, and nothing is left beside it
     umask = os.umask(0)
     os.umask(umask)
     assert {path.stat().st_mode & 0o777 for path in (out_path, csv_path)} == {0o666 & ~umask}
@@ -348,6 +351,40 @@ def test_failed_run_leaves_existing_outputs_as_they_were(tmp_path, capsys, monke
     assert out_path.read_text() == "old report"
     assert csv_path.read_text() == "old rows"
     assert sorted(tmp_path.iterdir()) == [csv_path, out_path]
+
+
+def test_existing_outputs_are_rewritten_in_place(tmp_path, capsys):
+    # a symlink keeps its link and its target takes the report; an existing file keeps its mode, loses its content
+    target, link, csv_path = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "points.csv"
+    target.write_text("old report")
+    link.symlink_to(target)
+    csv_path.write_text("old rows " * 1000)
+    csv_path.chmod(0o600)
+    code, _, _ = run_cli(capsys, "--mode", "pulse", "--out", str(link), "--csv", str(csv_path))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["mode"] == "pulse"
+    assert csv_path.stat().st_mode & 0o777 == 0o600
+    assert csv_path.read_text().startswith("duration_over_t_kepler,leakage")
+    assert "old rows" not in csv_path.read_text()
+    assert sorted(tmp_path.iterdir()) == [link, csv_path, target]
+
+
+def test_pipe_output_is_written_through(capsys):
+    # a path that names an open pipe, as a shell's process substitution gives, is written, not replaced
+    r, w = os.pipe()
+    try:
+        code, out, _ = run_cli(capsys, "--mode", "pulse", "--out", f"/dev/fd/{w}")
+        os.close(w)
+        with os.fdopen(r) as fh:
+            report = json.loads(fh.read())
+    finally:
+        for fd in (r, w):
+            with contextlib.suppress(OSError):
+                os.close(fd)
+    assert code == 0
+    assert out == ""
+    assert report["mode"] == "pulse"
 
 
 def test_reports_are_byte_identical_across_reruns(tmp_path, capsys):
