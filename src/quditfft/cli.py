@@ -234,7 +234,8 @@ def _run_pulse(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
         spectrum.t_kepler, spectrum.t_kepler / (4.0 * cfg.d), num=8
     )
     chosen = float(cfg.pulse_duration_ratio * spectrum.t_kepler)
-    # each point is computed on its own, so the chosen duration rides along as a ninth
+    # one stack maps every duration, and each point is its own selectivity_error (to the bit for
+    # square pulses), so the chosen duration rides along as a ninth column
     sweep = selectivity_sweep(spectrum, couplings, np.append(durations, chosen),
                               area=cfg.pulse_area, shape=cfg.pulse_shape)
     leakage, chosen_leak = sweep[:-1], float(sweep[-1])

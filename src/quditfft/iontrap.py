@@ -250,7 +250,13 @@ def check_kepler_periods(kepler_periods: float) -> None:
 
 def check_gate_time(spectrum: RydbergSpectrum, kepler_periods: float) -> None:
     """A gate's runs each start within a period of the last and span kepler_periods, so its d*d runs end
-    before d^2 (kepler_periods + 1) T_K; n_bar is named if even one-period runs pass the limit."""
+    before d^2 (kepler_periods + 1) T_K; n_bar is named if even one-period runs pass the limit, and if
+    a level frequency w_j, which is split like a time, reaches it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fastest = np.max(np.abs(spectrum.frequency_offsets()))
+    if not fastest < _MAX_FRAME_TIME:
+        raise ValueError(f"n_bar must be large enough that the level frequencies w_j, about j / n̄³, stay below "
+                         f"{_MAX_FRAME_TIME:.4g}, got d = {spectrum.d}, n_bar = {spectrum.n_bar}")
     for name, periods in (("n_bar", 1), ("kepler_periods", kepler_periods)):
         if spectrum.d**2 * (periods + 1) * spectrum.t_kepler >= _MAX_FRAME_TIME:
             raise ValueError(f"{name} must be small enough that d²·(kepler_periods + 1)·T_K, the bound on a gate's "

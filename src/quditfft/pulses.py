@@ -22,6 +22,8 @@ map. A gaussian pulse, or a call given ``n_steps``, runs fixed-step RK4
 (capped at MAX_RK4_STEPS), which is also the exact path's test oracle. RK4
 samples the drive once per block of steps, in one vectorized call over the
 block's half-step times, and its right-hand side only indexes those tables.
+The sweep's column stack of durations takes one batched eigh or one RK4
+loop; only a stacked RK4 column can round a bit apart from its own call.
 
 Couplings are stated per level. The collective Rabi frequency of the core
 packet is (1/sqrt(d)) * sum_j omega_gj, the coherent enhancement of driving
@@ -237,36 +239,56 @@ def _resolve_steps(pulse: PulseProfile, n_steps: int | None, offsets: np.ndarray
 
 
 def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
-               pulse: PulseProfile, n_steps: int | None) -> np.ndarray:
-    """Map (levels..., ground) through one pulse by the equations of integrate_full.
+               pulse: PulseProfile | list[PulseProfile], n_steps: int | None) -> np.ndarray:
+    """Map (levels..., ground) through a pulse by the equations of integrate_full.
+
+    ``y0`` is (d+1,) with one profile, or a (d+1, B) column stack with B
+    profiles of one shape, area and detuning; column b runs through pulse b.
 
     Square with no explicit step count: in the frame rotating at D the
     generator H = diag(dw + D, 0) - (kappa/2)(w e_g^T + e_g w^T) is constant
     and real, so one eigh H = V diag(L) V^T gives the map V exp(-i L T) V^T;
-    the level rows then return to the lab frame with exp(+i D T). Anything
-    else runs RK4, sampling the drive once per block of steps at the half-step
-    times as to_band = (i kappa/2) w exp(+i D t) and to_ground = (i kappa/2)
-    exp(-i D t), in that factor order; ``deriv`` indexes these tables by row.
+    the level rows then return to the lab frame with exp(+i D T). A stack
+    makes one batched eigh, each column with the bits of its own call.
+    Anything else runs RK4, sampling the drive once per block of steps at the
+    half-step times as to_band = (i kappa/2) w exp(+i D t) and to_ground =
+    (i kappa/2) exp(-i D t), in that factor order; ``deriv`` indexes these
+    tables by row. On a stack the operands gain a trailing column axis, and
+    columns retire as their steps end. A stacked column can round a bit apart
+    from its own call: its ground row sums by a matrix-vector product and
+    multiplies arrays with FMA, where one vector takes a dot and two scalars.
     """
-    d, detuning = offsets.shape[0], pulse.center_detuning
-    if pulse.shape == "square" and n_steps is None:
-        h = np.diag(np.append(offsets + detuning, 0.0))
-        h[:d, d] = h[d, :d] = -0.5 * (pulse.area / pulse.duration) * weights
+    stack = y0.ndim == 2
+    pulses = list(pulse) if stack else [pulse]
+    d, detuning = offsets.shape[0], pulses[0].center_detuning
+    durations = np.array([p.duration for p in pulses])
+    if pulses[0].shape == "square" and n_steps is None:
+        T = durations.reshape(y0.shape[1:])
+        h = np.zeros(T.shape + (d + 1, d + 1))
+        h[..., :d, :d] = np.diag(offsets + detuning)
+        h[..., :d, d] = h[..., d, :d] = -0.5 * (pulses[0].area / T)[..., None] * weights
         vals, vecs = np.linalg.eigh(h)
-        y = vecs @ (np.exp(-1j * vals * pulse.duration) * (vecs.T @ y0))
-        y[:d] *= np.exp(1j * detuning * pulse.duration)
+        y = vecs.swapaxes(-1, -2) @ y0.T[..., None]
+        y = (vecs @ (np.exp(-1j * vals * T[..., None])[..., None] * y))[..., 0].T
+        y[:d] *= np.exp(1j * detuning * T)
         return y
-    steps = _resolve_steps(pulse, n_steps, offsets)
-    h, rot, y = pulse.duration / steps, -1j * offsets, y0
-    # A block's 2*block + 1 rows of d + 1 drive entries fit one BATCH_BUDGET.
-    block = max(1, (BATCH_BUDGET // (d + 1) - 1) // 2)
-    for first in range(0, steps, block):
-        last = min(first + block, steps)
+    steps = [_resolve_steps(p, n_steps, offsets) for p in pulses]  # every column, before any step
+    order = sorted(range(len(pulses)), key=lambda b: -steps[b])
+    col = np.s_[:, None] if stack else np.s_[:]  # a row vector against the column axis
+    if stack:  # longest first, so the active columns are a prefix
+        pulses, y, durations, n = [pulses[b] for b in order], y0[:, order], durations[order], np.array(steps)[order]
+    else:
+        y, durations, n = y0, pulse.duration, steps[0]
+    rot, w, h, a, first, out = (-1j * offsets)[col], weights[col], durations / n, len(pulses), 0, np.empty_like(y0)
+    while first < steps[order[0]]:
+        # A block's tables fit one BATCH_BUDGET and the longest column's own; no column retires inside.
+        rows = min(BATCH_BUDGET // (d + 1), 2 * steps[order[0]] + 1) // a
+        last = min(first + max(1, (rows - 1) // 2), steps[order[a - 1]])
         # Times as exact fractions of the duration: accumulating i*h + h can
         # overshoot the window by one ulp and zero a hard edge's endpoint.
-        t = pulse.duration * (np.arange(2 * first, 2 * last + 1) / (2 * steps))
-        kappa = 0.5j * pulse.rabi(t)
-        to_band = kappa[:, None] * weights * np.exp(+1j * detuning * t)[:, None]
+        t = durations * (np.arange(2 * first, 2 * last + 1)[col] / (2 * n))
+        kappa = 0.5j * (np.stack([p.rabi(c) for p, c in zip(pulses, t.T)], 1) if stack else pulses[0].rabi(t))
+        to_band = kappa[:, None] * w * np.exp(+1j * detuning * t)[:, None]
         to_ground = kappa * np.exp(-1j * detuning * t)
 
         def deriv(j: int, y: np.ndarray) -> np.ndarray:
@@ -275,8 +297,12 @@ def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
             out[d] = to_ground[j] * np.dot(weights, y[:d])
             return out
 
-        y = _rk4(deriv, y, h, last - first)
-    return y
+        y, first = _rk4(deriv, y, h, last - first), last
+        if stack:  # the columns whose steps end here retire
+            keep = int(np.count_nonzero(n > last))
+            out[:, order[keep:a]] = y[:, keep:]
+            y, a, durations, n, h = y[:, :keep].copy(), keep, durations[:keep], n[:keep], h[:keep]
+    return out if stack else y
 
 
 def integrate_two_level(
@@ -331,7 +357,11 @@ def integrate_full(
     if state.d != spectrum.d:
         raise ValueError(f"state has d={state.d} but spectrum has d={spectrum.d}")
     y0 = np.append(change_basis(state.wp, ENERGY).amps, state.b_g)
-    y = _propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), pulse, n_steps)
+    return _band_state(_propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), pulse, n_steps))
+
+
+def _band_state(y: np.ndarray) -> AtomState:
+    """The atom state of a propagated (levels..., ground) vector."""
     return AtomState(y[-1], change_basis(AmplitudeVector(ENERGY, y[:-1]), WAVEPACKET))
 
 
@@ -361,16 +391,21 @@ def selectivity_error(
             stacklevel=2,
         )
     core = AtomState.core_packet(spectrum.d)
-    half = pulse.duration / 2.0
-    start = AtomState(0.0, free_evolve(core.wp, spectrum, -half))
+    start = AtomState(0.0, free_evolve(core.wp, spectrum, -pulse.duration / 2.0))
     full = integrate_full(start, pulse, couplings, spectrum, n_steps=n_steps)
+    return _leakage(full, spectrum, pulse, couplings, n_steps)
 
+
+def _leakage(full: AtomState, spectrum: RydbergSpectrum, pulse: PulseProfile,
+             couplings: RabiCouplings, n_steps: int | None) -> float:
+    """1 - |<ideal|full>|^2 for the core packet after ``pulse``, its ideal fired at the pulse center."""
+    core = AtomState.core_packet(spectrum.d)
     if pulse.center_detuning == 0.0:
         g_ideal, core_ideal = resonant_pulse_map(pulse.area) @ np.array([0.0, 1.0])
     else:
         two = integrate_two_level(core, pulse, couplings, n_steps=n_steps)
         g_ideal, core_ideal = two.b_g, two.wp.amps[0]
-    ideal_band = free_evolve(change_basis(core.wp, ENERGY), spectrum, half).amps * core_ideal
+    ideal_band = free_evolve(change_basis(core.wp, ENERGY), spectrum, pulse.duration / 2.0).amps * core_ideal
 
     full_band = change_basis(full.wp, ENERGY).amps
     overlap = np.conj(g_ideal) * full.b_g + np.vdot(ideal_band, full_band)
@@ -385,14 +420,19 @@ def selectivity_sweep(
     shape: str = "square",
     n_steps: int | None = None,
 ) -> np.ndarray:
-    """Leakage for each pulse duration, all other settings shared."""
+    """Leakage for each pulse duration, all other settings shared, from one stacked propagation.
+
+    Each point is :func:`selectivity_error` at its duration, to the bit on the eigh path and up to the
+    stacked RK4 ground row's rounding otherwise, but no duration warns for being unselective.
+    """
     durations = np.asarray(durations, dtype=np.float64)
-    flat = durations.ravel()
-    out = np.empty(flat.shape, dtype=np.float64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for i, t in enumerate(flat):
-            out[i] = selectivity_error(
-                spectrum, PulseProfile(float(t), area, shape=shape), couplings, n_steps=n_steps
-            )
-    return out.reshape(durations.shape)
+    pulses = [PulseProfile(float(t), area, shape=shape) for t in durations.ravel()]
+    if not pulses:
+        return np.empty(durations.shape)
+    if couplings.d != spectrum.d:
+        raise ValueError(f"couplings have d={couplings.d} but spectrum has d={spectrum.d}")
+    starts = free_evolve(AtomState.core_packet(spectrum.d).wp, spectrum, -durations.ravel() / 2.0)
+    y0 = np.stack([np.append(change_basis(s, ENERGY).amps, 0.0) for s in starts], axis=1)
+    y = _propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), pulses, n_steps)
+    leaks = [_leakage(_band_state(col), spectrum, p, couplings, n_steps) for p, col in zip(pulses, y.T.copy())]
+    return np.array(leaks).reshape(durations.shape)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +64,8 @@ class RydbergSpectrum:
 
     ``t_rev`` and ``t_sr`` are required only when the truncation includes the
     corresponding term, and must be positive whenever given. n̄ may be any
-    positive number with a finite Kepler period 2π n̄³, its only use.
+    positive number with a finite Kepler period 2π n̄³, its only use, no
+    smaller than the smallest normal float (below it, 1/T_K overflows).
     """
 
     n_bar: float
@@ -76,8 +78,10 @@ class RydbergSpectrum:
         if self.d < 2:
             raise ValueError(f"need at least two levels, got d={self.d}")
         # products, not n̄**3: a float power raises OverflowError where this reads inf
-        if not (self.n_bar > 0 and math.isfinite(2.0 * math.pi * self.n_bar * self.n_bar * self.n_bar)):
-            raise ValueError(f"n_bar must be positive and finite, as must 2π n̄³, got {self.n_bar}")
+        t_kepler = 2.0 * math.pi * self.n_bar * self.n_bar * self.n_bar if self.n_bar > 0 else 0.0
+        if not sys.float_info.min <= t_kepler < math.inf:
+            raise ValueError(f"n_bar must be positive and finite, with 2π n̄³ finite and at least "
+                             f"{sys.float_info.min:.4g}, got {self.n_bar}")
         if self.truncation not in TRUNCATIONS:
             raise ValueError(f"truncation must be one of {TRUNCATIONS}, got {self.truncation!r}")
         for name, value in (("t_rev", self.t_rev), ("t_sr", self.t_sr)):

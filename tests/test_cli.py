@@ -241,6 +241,21 @@ def test_gate_times_beyond_exact_frame_phases_exit_two(tmp_path, capsys):
             assert run_cli(capsys, "--config", str(cfg))[0] == 0
 
 
+@pytest.mark.parametrize("config", [{"n_bar": 1e-110}, {"mode": "iontrap", "n_bar": 1e-102}])
+def test_n_bar_too_small_for_finite_frequencies_exits_two_naming_it(tmp_path, capsys, config):
+    # 2π n̄³ underflows below the smallest normal float at 1e-110; at 1e-102 it does not, but the level
+    # frequencies j / n̄³ pass the 1.339e300 from which the trap's frame phases cannot be split
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for mode in ("verify-qft", "wavepacket", "pulse", "iontrap"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "--mode", mode, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_bar must be")
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_pulse_duration_flag_exits_two(capsys, value):
     code, out, err = run_cli(capsys, "--mode", "pulse", "--pulse-duration", value)

@@ -439,3 +439,104 @@ def test_rk4_step_cap_is_enforced():
         integrate_full(state, PulseProfile(long, math.pi, shape="gaussian"), coup, spectrum)
     out = integrate_full(state, PulseProfile(long, math.pi), coup, spectrum)
     assert_allclose(out.norm(), 1.0, atol=EPS_UNITARY)
+
+
+def _stack_case(rng, d, shape, ratios, detuning=0.03):
+    spectrum = RydbergSpectrum(5, d)
+    coup = RabiCouplings(rng.uniform(0.5, 1.5, size=d))
+    pulses = [PulseProfile(r * spectrum.t_kepler, math.pi, shape=shape, center_detuning=detuning) for r in ratios]
+    y0 = rng.normal(size=(d + 1, len(ratios))) + 1j * rng.normal(size=(d + 1, len(ratios)))
+    return (y0 / np.linalg.norm(y0, axis=0), spectrum.frequency_offsets(), coup.level_weights()), pulses
+
+
+def test_stacked_columns_retire_across_block_edges(monkeypatch):
+    # 213, 288 and 250 steps at d=3; a 60-entry budget holds 15 rows of 4 drive entries, so blocks of
+    # 2, 3 and 7 steps while 3, 2 and 1 columns are active, and each column retires inside a block
+    rng = np.random.default_rng(21)
+    (y0, offsets, weights), pulses = _stack_case(rng, 3, "gaussian", (0.15, 0.25, 0.2))
+    assert [_resolve_steps(p, None, offsets) for p in pulses] == [213, 288, 250]
+    samples = []
+    rabi = PulseProfile.rabi
+
+    def counting_rabi(self, t):
+        samples.append(np.size(t))
+        return rabi(self, t)
+
+    monkeypatch.setattr(PulseProfile, "rabi", counting_rabi)
+    other_edges = pulses_module._propagate(y0, offsets, weights, pulses, None)
+    # at the full budget the stacked tables still hold no more rows than the longest column's 577:
+    # 192 rows per column of three, then 288 of two
+    assert samples == [191] * 6 + [47] * 3 + [75] * 2 + [77]
+    samples.clear()
+    monkeypatch.setattr(pulses_module, "BATCH_BUDGET", 60)
+    stacked = pulses_module._propagate(y0, offsets, weights, pulses, None)
+    # one drive sample per active column per block: 106 blocks of 2 steps and one of 1 for three
+    # columns, 12 of 3 and one of 1 for two, 5 of 7 and one of 3 for the last
+    assert samples == [5] * 318 + [3] * 3 + [7] * 24 + [3] * 2 + [15] * 5 + [7]
+    assert stacked.shape == y0.shape
+    assert np.array_equal(stacked, other_edges)
+    for b, pulse in enumerate(pulses):
+        alone = pulses_module._propagate(y0[:, b], offsets, weights, pulse, None)
+        assert_allclose(stacked[:, b], alone, rtol=0, atol=1e-14)
+
+
+def test_stacked_square_columns_are_their_own_calls_bit_for_bit():
+    rng = np.random.default_rng(22)
+    (y0, offsets, weights), pulses = _stack_case(rng, 5, "square", (0.3, 0.01, 0.1, 0.05))
+    stacked = pulses_module._propagate(y0, offsets, weights, pulses, None)
+    for b, pulse in enumerate(pulses):
+        assert np.array_equal(stacked[:, b], pulses_module._propagate(y0[:, b], offsets, weights, pulse, None))
+
+
+@pytest.mark.parametrize("truncation", [KEPLER, REVIVAL])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_selectivity_sweep_is_selectivity_error_per_point(d, truncation):
+    # square points to the bit. A gaussian stack rounds its RK4 ground row apart by a bit here and there,
+    # and the leakage 1 - |overlap|^2 keeps the absolute rounding of |overlap|^2 ~ 1: two ulps of 1.0
+    # (4.4e-16) are 2e-13 of a 2e-3 leakage
+    spectrum = RydbergSpectrum(5, d, t_rev=20.0 * 2.0 * math.pi * 5**3, truncation=truncation)
+    coup = RabiCouplings.uniform(d)
+    durations = spectrum.t_kepler * np.array([1.0 / d, 0.25 / d])
+    for shape in PULSE_SHAPES:
+        sweep = selectivity_sweep(spectrum, coup, durations, shape=shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # T_K / d is not selective
+            points = [selectivity_error(spectrum, PulseProfile(t, math.pi, shape=shape), coup) for t in durations]
+        if shape == "square":
+            assert np.array_equal(sweep, points)
+        else:
+            assert_allclose(sweep, points, rtol=1e-13, atol=2 * np.finfo(float).eps)
+
+
+def test_selectivity_sweep_keeps_the_shape_of_its_durations():
+    d = 3
+    spectrum = RydbergSpectrum(5, d)
+    coup = RabiCouplings.uniform(d)
+    for empty in (np.empty(0), np.empty((2, 0))):
+        assert selectivity_sweep(spectrum, coup, empty, shape="gaussian").shape == empty.shape
+    grid = spectrum.t_kepler * np.array([[0.3, 0.1], [0.03, 0.2]])
+    sweep = selectivity_sweep(spectrum, coup, grid)
+    assert sweep.shape == grid.shape
+    assert np.array_equal(sweep.ravel(), selectivity_sweep(spectrum, coup, grid.ravel()))
+
+
+def test_selectivity_sweep_refuses_an_over_long_column_before_any_step(monkeypatch):
+    d = 3
+    spectrum = RydbergSpectrum(5, d)
+    steps = []
+    monkeypatch.setattr(pulses_module, "_rk4", lambda *args: steps.append(args))
+    durations = spectrum.t_kepler * np.array([0.05, 1e6, 0.1])
+    with pytest.raises(ConfigurationError, match="MAX_RK4_STEPS"):
+        selectivity_sweep(spectrum, RabiCouplings.uniform(d), durations, shape="gaussian")
+    assert steps == []
+
+
+def test_selectivity_sweep_over_unselective_durations_warns_nothing():
+    d = 3
+    spectrum = RydbergSpectrum(5, d)
+    durations = np.geomspace(spectrum.t_kepler, spectrum.t_kepler / (4.0 * d), num=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in PULSE_SHAPES:
+            sweep = selectivity_sweep(spectrum, RabiCouplings.uniform(d), durations, shape=shape)
+            assert np.all(np.isfinite(sweep))

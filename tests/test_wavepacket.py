@@ -50,6 +50,11 @@ def test_spectrum_validation():
     # T_K = 2π n̄³ overflows: rejected, not an OverflowError at first use
     with pytest.raises(ValueError, match="n_bar must be positive and finite"):
         RydbergSpectrum(1e200, 3)
+    # T_K = 2π n̄³ underflows below the smallest normal float: rejected, not a division by zero later
+    for tiny in (1e-110, 1e-103):
+        with pytest.raises(ValueError, match="n_bar must be positive and finite"):
+            RydbergSpectrum(tiny, 3)
+    assert RydbergSpectrum(1e-102, 3).t_kepler > 0
 
 
 def test_kepler_period_scaling():
