@@ -464,8 +464,8 @@ def test_stacked_columns_retire_across_block_edges(monkeypatch):
 
     monkeypatch.setattr(PulseProfile, "rabi", counting_rabi)
     other_edges = pulses_module._propagate(y0, offsets, weights, pulses, None)
-    # at the full budget the stacked tables still hold no more rows than the longest column's 577:
-    # 192 rows per column of three, then 288 of two
+    # at the full budget the stacked tables still hold no more than the longest column's 577 rows:
+    # blocks of 95 steps (191 rows) and one of 23 for three columns, then 37 steps for two, 38 for one
     assert samples == [191] * 6 + [47] * 3 + [75] * 2 + [77]
     samples.clear()
     monkeypatch.setattr(pulses_module, "BATCH_BUDGET", 60)
