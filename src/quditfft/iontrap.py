@@ -77,7 +77,7 @@ import numpy as np
 from .constants import EPS_STATE
 from .errors import ContractError, require_unit_norm
 from .register import RegisterShape, check_amplitude_count
-from .wavepacket import RydbergSpectrum, _packet_matrices, level_offsets
+from .wavepacket import REVIVAL, SUPER_REVIVAL, RydbergSpectrum, _packet_matrices, level_offsets
 
 PULSE_KINDS = ("packet_swap", "sideband", "aux")
 _SWAP, _SIDEBAND, _AUX = range(len(PULSE_KINDS))  # the kind codes of a PulseSchedule
@@ -251,12 +251,21 @@ def check_kepler_periods(kepler_periods: float) -> None:
 def check_gate_time(spectrum: RydbergSpectrum, kepler_periods: float) -> None:
     """A gate's runs each start within a period of the last and span kepler_periods, so its d*d runs end
     before d^2 (kepler_periods + 1) T_K; n_bar is named if even one-period runs pass the limit, and if
-    a level frequency w_j, which is split like a time, reaches it."""
+    a level frequency w_j, which is split like a time, reaches it through j / T_K (t_rev_ratio or
+    t_sr_ratio if through a larger revival or super-revival term)."""
     with np.errstate(over="ignore", invalid="ignore"):
         fastest = np.max(np.abs(spectrum.frequency_offsets()))
     if not fastest < _MAX_FRAME_TIME:
-        raise ValueError(f"n_bar must be large enough that the level frequencies w_j, about j / n̄³, stay below "
-                         f"{_MAX_FRAME_TIME:.4g}, got d = {spectrum.d}, n_bar = {spectrum.n_bar}")
+        # the field of the largest term of w_j is named: j / T_K, the curvature j² / (2 T_rev), j³ / (6 T_sr)
+        j, t_k = float(np.abs(level_offsets(spectrum.d)).max()), spectrum.t_kepler
+        terms = [(j / t_k, "n_bar", "j / n̄³", spectrum.n_bar)]
+        if spectrum.truncation in (REVIVAL, SUPER_REVIVAL):
+            terms.append((j * j / (2.0 * spectrum.t_rev), "t_rev_ratio", "j² / (2 T_rev)", spectrum.t_rev / t_k))
+        if spectrum.truncation == SUPER_REVIVAL:
+            terms.append((j**3 / (6.0 * spectrum.t_sr), "t_sr_ratio", "j³ / (6 T_sr)", spectrum.t_sr / t_k))
+        _, name, term, value = max(terms, key=lambda entry: entry[0])  # n_bar first, so it wins a tie
+        raise ValueError(f"{name} must be large enough that the level frequencies w_j, about {term}, stay below "
+                         f"{_MAX_FRAME_TIME:.4g}, got d = {spectrum.d}, {name} = {value}")
     for name, periods in (("n_bar", 1), ("kepler_periods", kepler_periods)):
         if spectrum.d**2 * (periods + 1) * spectrum.t_kepler >= _MAX_FRAME_TIME:
             raise ValueError(f"{name} must be small enough that d²·(kepler_periods + 1)·T_K, the bound on a gate's "
@@ -295,8 +304,10 @@ def solve_aux_detuning(phi: float, omega_ge: float, multiplicity: int = 1) -> fl
     # Admissible ratios x = detuning/omega_ge are base + 2n/p within [-1, 1].
     lo = math.ceil(p * (-1.0 - base) / 2.0 - 1e-12)
     hi = math.floor(p * (1.0 - base) / 2.0 + 1e-12)
+    # |x| is least next to n = -base p / 2, so three candidates stand for all p + 1 of them
+    m = round(-base * p / 2.0)
     best: float | None = None
-    for n in range(lo, hi + 1):
+    for n in range(max(lo, m - 1), min(hi, m + 1) + 1):
         x = base + 2.0 * n / p
         if x < -1.0 - 1e-12 or x > 1.0 + 1e-12:
             continue

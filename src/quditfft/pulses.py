@@ -18,10 +18,12 @@ schedules it.
 
 Both models share one propagator. A square pulse is exact: its generator is
 constant in the frame rotating at the carrier detuning, so one eigh gives the
-map. A gaussian pulse, or a call given ``n_steps``, runs fixed-step RK4
-(capped at MAX_RK4_STEPS), which is also the exact path's test oracle. RK4
-samples the drive once per block of steps, in one vectorized call over the
-block's half-step times, and its right-hand side only indexes those tables.
+map. So is a resonant two-level pulse of any envelope, whose generator is
+kappa(t) H0 for a constant H0: only its area enters (the pulse-area theorem).
+Any other pulse, or a call given ``n_steps``, runs fixed-step RK4 (capped at
+MAX_RK4_STEPS), which is also the exact path's test oracle. RK4 samples the
+drive once per block of steps, in one vectorized call over the block's
+half-step times, and its right-hand side only indexes those tables.
 The sweep's column stack of durations takes one batched eigh or one RK4
 loop; only a stacked RK4 column can round a bit apart from its own call.
 
@@ -245,11 +247,13 @@ def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
     ``y0`` is (d+1,) with one profile, or a (d+1, B) column stack with B
     profiles of one shape, area and detuning; column b runs through pulse b.
 
-    Square with no explicit step count: in the frame rotating at D the
-    generator H = diag(dw + D, 0) - (kappa/2)(w e_g^T + e_g w^T) is constant
-    and real, so one eigh H = V diag(L) V^T gives the map V exp(-i L T) V^T;
-    the level rows then return to the lab frame with exp(+i D T). A stack
-    makes one batched eigh, each column with the bits of its own call.
+    Square, or resonant on zero offsets, with no explicit step count: in the
+    frame rotating at D the generator H = diag(dw + D, 0) - (kappa/2)(w e_g^T
+    + e_g w^T) is real and constant, or kappa(t) times a constant (D = 0,
+    dw = 0), so one eigh at kappa = area/T gives the map V exp(-i L T) V^T, and
+    a resonant two-level gaussian is its square twin to the bit; the level rows
+    then return to the lab frame with exp(+i D T). A stack makes one batched
+    eigh, each column with the bits of its own call.
     Anything else runs RK4, sampling the drive once per block of steps at the
     half-step times as to_band = (i kappa/2) w exp(+i D t) and to_ground =
     (i kappa/2) exp(-i D t), in that factor order; ``deriv`` indexes these
@@ -262,7 +266,7 @@ def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
     pulses = list(pulse) if stack else [pulse]
     d, detuning = offsets.shape[0], pulses[0].center_detuning
     durations = np.array([p.duration for p in pulses])
-    if pulses[0].shape == "square" and n_steps is None:
+    if n_steps is None and (pulses[0].shape == "square" or (detuning == 0.0 and not offsets.any())):
         T = durations.reshape(y0.shape[1:])
         h = np.zeros(T.shape + (d + 1, d + 1))
         h[..., :d, :d] = np.diag(offsets + detuning)
@@ -317,11 +321,12 @@ def integrate_two_level(
     couplings fix the physical scale while the pulse area fixes the rotation
     angle; choosing duration = area / collective makes the square drive sit
     at the collective Rabi frequency exactly. The one-level case of
-    :func:`integrate_full` (zero offset, weight 1): a square pulse is exact; a
+    :func:`integrate_full` (zero offset, weight 1): a square or resonant pulse
+    is exact, and on resonance bit-equal to the square pulse of its area and
+    duration, within rounding of :func:`resonant_pulse_map`; a detuned
     gaussian pulse or an explicit ``n_steps`` runs fixed-step RK4 at
     STEPS_PER_CYCLE steps per phase cycle (floor MIN_STEPS), and explicit
     counts below REJECT_STEPS_PER_CYCLE per cycle raise ConfigurationError.
-    On resonance the result matches :func:`resonant_pulse_map`.
     """
     if couplings.d != state.d:
         raise ValueError(f"couplings have d={couplings.d} but state has d={state.d}")

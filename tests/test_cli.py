@@ -256,6 +256,36 @@ def test_n_bar_too_small_for_finite_frequencies_exits_two_naming_it(tmp_path, ca
         assert err.startswith("error: n_bar must be")
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"truncation": "revival", "t_rev_ratio": 5e-324}, "t_rev_ratio"),
+    ({"truncation": "super-revival", "t_rev_ratio": 20, "t_sr_ratio": 5e-324}, "t_sr_ratio"),
+])
+def test_revival_term_overflowing_the_frequencies_exits_two_naming_its_ratio(tmp_path, capsys, config, field):
+    # at n_bar = 5 the Kepler term j / T_K is small; the curvature j² / (2 T_rev) or the super-revival
+    # term j³ / (6 T_sr) overflows, so its ratio is named and not n_bar
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for mode in ("wavepacket", "pulse", "iontrap"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "--mode", mode, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be large enough")
+        assert f"{field} = 5e-324" in err
+
+
+def test_huge_multiplicity_runs_to_a_failed_gate(tmp_path, capsys):
+    # the detuning solver weighs three candidates, not the 2^62 + 1 admissible ones; a drive that long
+    # is no instantaneous map, so it warns and the gate fails
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "iontrap", "multiplicity": 2**62}))
+    with pytest.warns(UserWarning, match="auxiliary drive lasts"):
+        code, out, _ = run_cli(capsys, "--config", str(cfg))
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_pulse_duration_flag_exits_two(capsys, value):
     code, out, err = run_cli(capsys, "--mode", "pulse", "--pulse-duration", value)

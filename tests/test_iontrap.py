@@ -202,6 +202,46 @@ def test_aux_cycle_phase_and_solver_examples():
         solve_aux_detuning(1.0, omega, 0)
 
 
+def _scanned_aux_ratios(phases, p):
+    """detuning / omega_ge by a scan over every admissible n with the solver's comparison, one phase per
+    entry: the oracle of the solver's three candidates."""
+    base = phases / (p * math.pi) - 1.0
+    lo = np.ceil(p * (-1.0 - base) / 2.0 - 1e-12)
+    hi = np.floor(p * (1.0 - base) / 2.0 + 1e-12)
+    best = np.full(phases.shape, np.nan)
+    for n in range(int(lo.min()), int(hi.max()) + 1):
+        x = base + 2.0 * n / p
+        admissible = (lo <= n) & (n <= hi) & (x >= -1.0 - 1e-12) & (x <= 1.0 + 1e-12)
+        tie = (np.abs(np.abs(x) - np.abs(best)) <= 1e-15) & (x > best)
+        better = np.isnan(best) | (np.abs(x) < np.abs(best) - 1e-15) | tie
+        best = np.where(admissible & better, x, best)
+    return best
+
+
+def test_aux_detuning_is_the_scan_over_every_admissible_detuning():
+    # ties and the +-1 edges fall on multiples of pi, so those are probed to the ulp and just past each
+    # tolerance; the gates' own phases 2 pi a / d^k and random phases fill in
+    rng = np.random.default_rng(42)
+    multiples = np.arange(-6, 7) * math.pi
+    nudges = np.array([0.0, 1e-16, 4e-16, 1e-15, 2e-15, 1e-13, 1e-12, 3e-12])
+    near = np.concatenate([multiples[:, None] + nudges, multiples[:, None] - nudges], axis=1).ravel()
+    ulps = np.concatenate([np.nextafter(multiples, np.inf), np.nextafter(multiples, -np.inf)])
+    gates = np.concatenate([2.0 * math.pi * np.arange(d**k) / d**k for d in range(2, 7) for k in (2, 3)])
+    phases = np.concatenate([near, ulps, np.arange(-48, 49) * (math.pi / 8.0), gates,
+                             rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 200)])
+    omega = 50.0
+    for p in range(1, 65):
+        got = [solve_aux_detuning(phi, omega, p) for phi in phases.tolist()]
+        assert np.array_equal(got, _scanned_aux_ratios(phases, p) * omega)
+    few = phases[rng.choice(phases.size, 20, replace=False)]
+    for p in (1000, 4096):
+        assert np.array_equal([solve_aux_detuning(phi, omega, p) for phi in few.tolist()],
+                              _scanned_aux_ratios(few, p) * omega)
+    # three candidates at any multiplicity: 2^62 would scan 2^62 + 1
+    detuning = solve_aux_detuning(1.0, omega, 2**62)
+    assert abs(detuning) <= omega
+
+
 def test_aux_pulse_imprints_dialed_phase():
     d = 3
     omega = 50.0

@@ -390,8 +390,67 @@ def test_rk4_drive_tables_match_per_call_sampling(monkeypatch, d, truncation, de
     n_steps = None if steps == "default" else _resolve_steps(pulse, None, spectrum.frequency_offsets()) // 2 + 1
     state = _random_atom_state(rng, d)
     got = _both_integrators(state, pulse, coup, spectrum, n_steps)
+    # a resonant two-level gaussian takes the exact map: its square twin's, to the bit
+    exact = detuning == 0.0 and n_steps is None
+    if exact:
+        twin = integrate_two_level(state, PulseProfile(pulse.duration, pulse.area), coup)
+        assert np.array_equal(got[1], _as_vector(twin))
     monkeypatch.setattr(pulses_module, "_propagate", _per_call_propagate)
-    _assert_bit_equal(got, _both_integrators(state, pulse, coup, spectrum, n_steps))
+    if exact:  # the full band still runs RK4
+        _assert_bit_equal(got[:1], [_as_vector(integrate_full(state, pulse, coup, spectrum))])
+    else:
+        _assert_bit_equal(got, _both_integrators(state, pulse, coup, spectrum, n_steps))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_resonant_two_level_pulse_is_exact_whatever_its_envelope(d):
+    # pulse-area theorem: on resonance with no level offset the generator is kappa(t) times one constant
+    # matrix, so the map depends on the area alone
+    rng = np.random.default_rng([d, 22])
+    coup = RabiCouplings(rng.uniform(0.5, 1.5, size=d))
+    for area in (math.pi, 0.7, 2.0 * math.pi, -1.3, 5.5):
+        for duration in (4.021e-3, 1.0, 39.27):
+            state = _random_atom_state(rng, d)
+            gaussian = integrate_two_level(state, PulseProfile(duration, area, shape="gaussian"), coup)
+            square = integrate_two_level(state, PulseProfile(duration, area), coup)
+            assert np.array_equal(_as_vector(gaussian), _as_vector(square))
+            want = resonant_pulse_map(area) @ np.array([state.b_g, state.wp.amps[0]])
+            assert_allclose([gaussian.b_g, gaussian.wp.amps[0]], want, rtol=0, atol=1e-15)
+            assert np.array_equal(gaussian.wp.amps[1:], state.wp.amps[1:])
+
+
+def test_detuned_or_stepped_two_level_pulses_still_run_rk4(monkeypatch):
+    d = 3
+    rng = np.random.default_rng(23)
+    coup = RabiCouplings(rng.uniform(0.5, 1.5, size=d))
+    state = _random_atom_state(rng, d)
+    cases = [
+        (PulseProfile(1.0, math.pi, shape="gaussian", center_detuning=0.03), None),
+        (PulseProfile(1.0, math.pi, shape="gaussian"), 120),
+        (PulseProfile(1.0, math.pi), 120),
+    ]
+    rk4 = pulses_module._rk4
+    calls = []
+    monkeypatch.setattr(pulses_module, "_rk4", lambda *args: calls.append(args[3]) or rk4(*args))
+    got = [_as_vector(integrate_two_level(state, pulse, coup, n_steps=n)) for pulse, n in cases]
+    assert calls == [200, 120, 120]
+    monkeypatch.setattr(pulses_module, "_propagate", _per_call_propagate)
+    _assert_bit_equal(got, [_as_vector(integrate_two_level(state, pulse, coup, n_steps=n)) for pulse, n in cases])
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_stepped_resonant_rk4_stays_near_the_exact_map(shape):
+    # RK4 at the old default step count stays the oracle of the exact resonant path; its truncation error
+    # grows as area^5 at the 200-step floor, 1.1e-10 at pi for a gaussian
+    coup = RabiCouplings.uniform(3)
+    rng = np.random.default_rng(24)
+    for area in (math.pi, 0.7, -1.3):
+        pulse = PulseProfile(1.0, area, shape=shape)
+        state = _random_atom_state(rng, 3)
+        steps = _resolve_steps(pulse, None, np.zeros(1))
+        stepped = integrate_two_level(state, pulse, coup, n_steps=steps)
+        exact = integrate_two_level(state, pulse, coup)
+        assert_allclose(_as_vector(stepped), _as_vector(exact), rtol=0, atol=1e-8)
 
 
 def test_rk4_drive_tables_are_built_block_by_block(monkeypatch):
