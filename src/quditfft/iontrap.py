@@ -256,7 +256,6 @@ def check_gate_time(spectrum: RydbergSpectrum, kepler_periods: float) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         fastest = np.max(np.abs(spectrum.frequency_offsets()))
     if not fastest < _MAX_FRAME_TIME:
-        # the field of the largest term of w_j is named: j / T_K, the curvature j² / (2 T_rev), j³ / (6 T_sr)
         j, t_k = float(np.abs(level_offsets(spectrum.d)).max()), spectrum.t_kepler
         terms = [(j / t_k, "n_bar", "j / n̄³", spectrum.n_bar)]
         if spectrum.truncation in (REVIVAL, SUPER_REVIVAL):

@@ -440,8 +440,8 @@ def test_detuned_or_stepped_two_level_pulses_still_run_rk4(monkeypatch):
 
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
 def test_stepped_resonant_rk4_stays_near_the_exact_map(shape):
-    # RK4 at the old default step count stays the oracle of the exact resonant path; its truncation error
-    # grows as area^5 at the 200-step floor, 1.1e-10 at pi for a gaussian
+    # RK4 at the old default step count stays the oracle of the exact resonant path; at that 200-step floor
+    # a gaussian's truncation error is 1.1e-10 at area pi, 1.1e-8 at 2 pi
     coup = RabiCouplings.uniform(3)
     rng = np.random.default_rng(24)
     for area in (math.pi, 0.7, -1.3):
