@@ -10,22 +10,19 @@ ground state with the radially localized core packet (slot 0).
 
 The idealized protocol treats {ground, core packet} as a closed two-level
 system, everything else frozen. In reality the band disperses while the
-pulse is on: the packet drifts through the turning point and its amplitude
-spreads over the other slots, degrading the transfer. The full-band
-integrator here quantifies that leakage against the frozen two-level model,
-with the pulse centered on the packet's core passage the way the protocol
-schedules it.
+pulse is on, and the packet's amplitude spreads over the other slots. One
+routine measures that leakage, in the energy basis throughout, where free
+evolution is a phase: the full band against the frozen two-level model
+under the same ``n_steps``, the pulse centered on the packet's core passage.
 
 Both models share one propagator. A square pulse is exact: its generator is
 constant in the frame rotating at the carrier detuning, so one eigh gives the
 map. So is a resonant two-level pulse of any envelope, whose generator is
-kappa(t) H0 for a constant H0: only its area enters (the pulse-area theorem).
-Any other pulse, or a call given ``n_steps``, runs fixed-step RK4 (capped at
-MAX_RK4_STEPS), which is also the exact path's test oracle. RK4 samples the
-drive once per block of steps, in one vectorized call over the block's
-half-step times, and its right-hand side only indexes those tables.
-The sweep's column stack of durations takes one batched eigh or one RK4
-loop; only a stacked RK4 column can round a bit apart from its own call.
+kappa(t) H0 for a constant H0 (the pulse-area theorem). Any other pulse, or
+a call given ``n_steps``, runs fixed-step RK4 (capped at MAX_RK4_STEPS),
+sampling the drive once per block of steps. A column stack of durations
+takes one batched eigh or one RK4 loop, and a one-column stack is the lone
+call.
 
 Couplings are stated per level. The collective Rabi frequency of the core
 packet is (1/sqrt(d)) * sum_j omega_gj, the coherent enhancement of driving
@@ -49,6 +46,7 @@ from .wavepacket import (
     RydbergSpectrum,
     change_basis,
     free_evolve,
+    wavepacket_basis_matrix,
 )
 
 PULSE_SHAPES = ("square", "gaussian")
@@ -246,6 +244,7 @@ def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
 
     ``y0`` is (d+1,) with one profile, or a (d+1, B) column stack with B
     profiles of one shape, area and detuning; column b runs through pulse b.
+    A one-column stack is the lone call, whose RK4 steps on scalars.
 
     Square, or resonant on zero offsets, with no explicit step count: in the
     frame rotating at D the generator H = diag(dw + D, 0) - (kappa/2)(w e_g^T
@@ -262,6 +261,8 @@ def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
     from its own call: its ground row sums by a matrix-vector product and
     multiplies arrays with FMA, where one vector takes a dot and two scalars.
     """
+    if y0.ndim == 2 and y0.shape[1] == 1:
+        return _propagate(y0[:, 0], offsets, weights, pulse[0], n_steps)[:, None]
     stack = y0.ndim == 2
     pulses = list(pulse) if stack else [pulse]
     d, detuning = offsets.shape[0], pulses[0].center_detuning
@@ -362,11 +363,7 @@ def integrate_full(
     if state.d != spectrum.d:
         raise ValueError(f"state has d={state.d} but spectrum has d={spectrum.d}")
     y0 = np.append(change_basis(state.wp, ENERGY).amps, state.b_g)
-    return _band_state(_propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), pulse, n_steps))
-
-
-def _band_state(y: np.ndarray) -> AtomState:
-    """The atom state of a propagated (levels..., ground) vector."""
+    y = _propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), pulse, n_steps)
     return AtomState(y[-1], change_basis(AmplitudeVector(ENERGY, y[:-1]), WAVEPACKET))
 
 
@@ -378,14 +375,12 @@ def selectivity_error(
 ) -> float:
     """Leakage of a core-packet pulse relative to the frozen two-level model.
 
-    The pulse is timed the way the protocol schedules it: the addressed
-    packet crosses the inner turning point at the temporal center of the
-    pulse, so the initial state is the core packet free-evolved backward by
-    half the duration. The full-band model then runs through the pulse and
-    the result is compared against the impulsive ideal, where the whole
-    two-level map fires at the center and the band is otherwise frozen:
-
-        leakage = 1 - |<ideal|full>|^2 .
+    The pulse is timed the way the protocol schedules it: the core packet
+    crosses the inner turning point at its center, so the run starts from the
+    core packet free-evolved back by half the duration. The full band runs
+    through the pulse and is compared with the ideal, the two-level model's
+    map under the same ``n_steps`` fired at the center, the band otherwise
+    frozen: leakage = 1 - |<ideal|full>|^2, all in the energy basis.
 
     Warns when the pulse is too long to be selective in the first place.
     """
@@ -395,26 +390,27 @@ def selectivity_error(
             f"{spectrum.t_kepler:.3g}, d={spectrum.d}; leakage will be large",
             stacklevel=2,
         )
-    core = AtomState.core_packet(spectrum.d)
-    start = AtomState(0.0, free_evolve(core.wp, spectrum, -pulse.duration / 2.0))
-    full = integrate_full(start, pulse, couplings, spectrum, n_steps=n_steps)
-    return _leakage(full, spectrum, pulse, couplings, n_steps)
+    return float(_leakages(spectrum, couplings, [pulse], n_steps)[0])
 
 
-def _leakage(full: AtomState, spectrum: RydbergSpectrum, pulse: PulseProfile,
-             couplings: RabiCouplings, n_steps: int | None) -> float:
-    """1 - |<ideal|full>|^2 for the core packet after ``pulse``, its ideal fired at the pulse center."""
-    core = AtomState.core_packet(spectrum.d)
-    if pulse.center_detuning == 0.0:
-        g_ideal, core_ideal = resonant_pulse_map(pulse.area) @ np.array([0.0, 1.0])
-    else:
-        two = integrate_two_level(core, pulse, couplings, n_steps=n_steps)
-        g_ideal, core_ideal = two.b_g, two.wp.amps[0]
-    ideal_band = free_evolve(change_basis(core.wp, ENERGY), spectrum, pulse.duration / 2.0).amps * core_ideal
+def _leakages(spectrum: RydbergSpectrum, couplings: RabiCouplings, pulses: list[PulseProfile],
+              n_steps: int | None) -> np.ndarray:
+    """1 - |<ideal|full>|^2 after each pulse of one shape, area and detuning, in the energy basis.
 
-    full_band = change_basis(full.wp, ENERGY).amps
-    overlap = np.conj(g_ideal) * full.b_g + np.vdot(ideal_band, full_band)
-    return float(1.0 - abs(overlap) ** 2)
+    Each run starts at the core packet's level amplitudes U[:, 0] free-evolved back by half its pulse;
+    the full band and the {core, ground} pair each take one stacked propagation under ``n_steps``.
+    """
+    if couplings.d != spectrum.d:
+        raise ValueError(f"couplings have d={couplings.d} but spectrum has d={spectrum.d}")
+    half = np.array([p.duration for p in pulses]) / 2.0
+    core = AmplitudeVector(ENERGY, wavepacket_basis_matrix(spectrum.d)[:, 0])
+    back, ahead = (np.array([v.amps for v in free_evolve(core, spectrum, dt)]) for dt in (-half, half))
+    pair = np.outer([1.0, 0.0], np.ones(len(pulses), dtype=np.complex128))  # (core, ground)
+    full = _propagate(np.vstack([back.T, pair[1]]), spectrum.frequency_offsets(), couplings.level_weights(),
+                      pulses, n_steps)
+    ideal = _propagate(pair, np.zeros(1), np.ones(1), pulses, n_steps)
+    overlap = np.conj(ideal[1]) * full[-1] + (np.conj(ahead * ideal[0][:, None]) * full[:-1].T).sum(-1)
+    return 1.0 - np.abs(overlap) ** 2
 
 
 def selectivity_sweep(
@@ -434,10 +430,4 @@ def selectivity_sweep(
     pulses = [PulseProfile(float(t), area, shape=shape) for t in durations.ravel()]
     if not pulses:
         return np.empty(durations.shape)
-    if couplings.d != spectrum.d:
-        raise ValueError(f"couplings have d={couplings.d} but spectrum has d={spectrum.d}")
-    starts = free_evolve(AtomState.core_packet(spectrum.d).wp, spectrum, -durations.ravel() / 2.0)
-    y0 = np.stack([np.append(change_basis(s, ENERGY).amps, 0.0) for s in starts], axis=1)
-    y = _propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), pulses, n_steps)
-    leaks = [_leakage(_band_state(col), spectrum, p, couplings, n_steps) for p, col in zip(pulses, y.T.copy())]
-    return np.array(leaks).reshape(durations.shape)
+    return _leakages(spectrum, couplings, pulses, n_steps).reshape(durations.shape)

@@ -276,14 +276,25 @@ def test_revival_term_overflowing_the_frequencies_exits_two_naming_its_ratio(tmp
 
 
 def test_huge_multiplicity_runs_to_a_failed_gate(tmp_path, capsys):
-    # the detuning solver weighs three candidates, not the 2^62 + 1 admissible ones; a drive that long
-    # is no instantaneous map, so it warns and the gate fails
+    # a 2^62-cycle drive once ran to a gate failed on rounding alone; past 2^32 the dialed phase carries
+    # more rounding than the gate's tolerance allows, so the config is refused before any schedule is built
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "iontrap", "multiplicity": 2**62}))
-    with pytest.warns(UserWarning, match="auxiliary drive lasts"):
-        code, out, _ = run_cli(capsys, "--config", str(cfg))
-    assert code == 1
-    assert json.loads(out)["passed"] is False
+    code, out, err = run_cli(capsys, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: multiplicity must be")
+
+
+def test_first_refused_multiplicity_exits_two_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for p, code in ((2**32, 0), (2**32 + 1, 2)):
+        cfg.write_text(json.dumps({"mode": "iontrap", "multiplicity": p}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a drive that long outlasts the sideband window
+            got, out, err = run_cli(capsys, "--config", str(cfg))
+        assert got == code
+        assert err.startswith("error: multiplicity must be") == (code == 2)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

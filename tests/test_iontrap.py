@@ -938,3 +938,32 @@ def test_revival_infidelity_is_frozen(d, kepler_periods):
         spectrum = RydbergSpectrum(5, d, t_rev=ratio * kepler.t_kepler, truncation="revival")
         report = verify_hybrid_gate(RegisterShape(d, 2), 0, 1, TrapParams(), spectrum, kepler_periods=kepler_periods)
         assert abs((1.0 - report.fidelity) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_largest_multiplicity_keeps_the_gate_within_tolerance(d):
+    # the bound on p: the dialed phase p*pi*(1 + x) carries p*pi times the solver's rounding
+    biggest = iontrap_module.check_multiplicity(2**32)
+    with pytest.raises(ValueError, match="multiplicity must be"):
+        iontrap_module.check_multiplicity(biggest + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a drive that long outlasts the sideband window
+        report = verify_hybrid_gate(RegisterShape(d, 2), 0, 1, TrapParams(), RydbergSpectrum(5, d), multiplicity=biggest)
+    assert abs(1.0 - report.fidelity) <= EPS_FIDELITY
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_one_detuning_solve_and_one_aux_map_per_distinct_value(monkeypatch, d):
+    solves, aux_maps = [], []
+    solve, aux_map = iontrap_module.solve_aux_detuning, iontrap_module._aux_map
+    monkeypatch.setattr(iontrap_module, "solve_aux_detuning", lambda phi, *args: solves.append(phi) or solve(phi, *args))
+    monkeypatch.setattr(iontrap_module, "_aux_map", lambda x, *args: aux_maps.append(x) or aux_map(x, *args))
+    spectrum, params = RydbergSpectrum(5, d), TrapParams()
+    steps = build_phase_gate_schedule(0, 1, RegisterShape(d, 2), params, spectrum)
+    phases = set(hybrid_phase_targets(d, 1).ravel().tolist())
+    assert len(steps) == 5 * d * d
+    assert len(solves) == len(set(solves)) == len(phases) == {3: 3, 6: 12}[d]
+    for phi, detuning in zip(hybrid_phase_targets(d, 1).ravel(), steps.detunings[2::5]):
+        assert detuning == solve(float(phi), params.omega_ge)
+    execute_schedule(JointIonState.hybrid_basis(d, 1, 2), steps, params, spectrum)
+    assert sorted(aux_maps) == sorted(set(steps.detunings[2::5].tolist()))

@@ -12,6 +12,8 @@ from quditfft import (
     PulseProfile,
     RabiCouplings,
     RydbergSpectrum,
+    change_basis,
+    free_evolve,
     integrate_full,
     integrate_two_level,
     resonant_pulse_map,
@@ -599,3 +601,102 @@ def test_selectivity_sweep_over_unselective_durations_warns_nothing():
         for shape in PULSE_SHAPES:
             sweep = selectivity_sweep(spectrum, RabiCouplings.uniform(d), durations, shape=shape)
             assert np.all(np.isfinite(sweep))
+
+
+def _packet_basis_leakage(spectrum, pulse, coup, n_steps=None):
+    """Oracle: the leakage by way of the packet basis, as measured before the energy-basis routine. The
+    core packet in slot 0 free-evolves back by T/2 there, runs through integrate_full, and meets the
+    closed-form resonant map or, detuned, the two-level integrator fired at the pulse center."""
+    core = AtomState.core_packet(spectrum.d)
+    start = AtomState(0.0, free_evolve(core.wp, spectrum, -pulse.duration / 2.0))
+    full = integrate_full(start, pulse, coup, spectrum, n_steps=n_steps)
+    if pulse.center_detuning == 0.0:
+        g_ideal, core_ideal = resonant_pulse_map(pulse.area) @ np.array([0.0, 1.0])
+    else:
+        two = integrate_two_level(core, pulse, coup, n_steps=n_steps)
+        g_ideal, core_ideal = two.b_g, two.wp.amps[0]
+    ideal_band = free_evolve(change_basis(core.wp, ENERGY), spectrum, pulse.duration / 2.0).amps * core_ideal
+    overlap = np.conj(g_ideal) * full.b_g + np.vdot(ideal_band, change_basis(full.wp, ENERGY).amps)
+    return 1.0 - abs(overlap) ** 2
+
+
+def _leakage_case(d, truncation):
+    rng = np.random.default_rng([d, len(truncation), 24])
+    spectrum = RydbergSpectrum(5, d, t_rev=20.0 * 2.0 * math.pi * 5**3, truncation=truncation)
+    return spectrum, RabiCouplings(rng.uniform(0.5, 1.5, size=d)), spectrum.t_kepler * np.array([0.5 / d, 0.05, 0.01])
+
+
+@pytest.mark.parametrize("truncation", [KEPLER, REVIVAL])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_leakage_in_the_energy_basis_is_the_packet_basis_oracle(d, truncation):
+    # per (d, truncation): 2 shapes x (3 sweep points + 3 durations x 2 detunings as single calls and as a
+    # stack) = 30 points, 300 over the grid
+    spectrum, coup, durations = _leakage_case(d, truncation)
+    for shape in PULSE_SHAPES:
+        sweep = selectivity_sweep(spectrum, coup, durations, shape=shape)
+        want = [_packet_basis_leakage(spectrum, PulseProfile(t, math.pi, shape=shape), coup) for t in durations]
+        assert_allclose(sweep, want, rtol=0, atol=1e-14)
+        for detuning in (0.0, 0.03):
+            pulses = [PulseProfile(t, math.pi, shape=shape, center_detuning=detuning) for t in durations]
+            want = [_packet_basis_leakage(spectrum, p, coup) for p in pulses]
+            assert_allclose([selectivity_error(spectrum, p, coup) for p in pulses], want, rtol=0, atol=1e-14)
+            assert_allclose(pulses_module._leakages(spectrum, coup, pulses, None), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+@pytest.mark.parametrize("d", [3, 5])
+def test_stepped_leakage_is_the_packet_basis_oracle(d, shape):
+    # detuned, the oracle's ideal already ran the stepped two-level model; on resonance it took the closed
+    # form, where the routine now steps the two-level pair like the band, within the steps' truncation
+    spectrum, coup, durations = _leakage_case(d, REVIVAL)
+    for detuning, tol in ((0.03, 1e-14), (0.0, 1e-10)):
+        pulse = PulseProfile(durations[1], math.pi, shape=shape, center_detuning=detuning)
+        got = selectivity_error(spectrum, pulse, coup, n_steps=300)
+        assert abs(got - _packet_basis_leakage(spectrum, pulse, coup, n_steps=300)) <= tol
+    sweep = selectivity_sweep(spectrum, coup, durations[1:], shape=shape, n_steps=300)
+    want = [_packet_basis_leakage(spectrum, PulseProfile(t, math.pi, shape=shape), coup, 300) for t in durations[1:]]
+    assert_allclose(sweep, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_one_column_stack_is_the_lone_call(shape):
+    rng = np.random.default_rng(24)
+    (y0, offsets, weights), pulses = _stack_case(rng, 5, shape, (0.05,))
+    for args in ((y0, offsets, weights), (y0[:2], np.zeros(1), np.ones(1))):  # the full band, the two-level pair
+        for n_steps in (None, 250):
+            stacked = pulses_module._propagate(*args, pulses, n_steps)
+            assert stacked.shape == args[0].shape
+            assert np.array_equal(stacked[:, 0], pulses_module._propagate(args[0][:, 0], *args[1:], pulses[0], n_steps))
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_leakage_takes_two_propagations_and_stays_in_the_energy_basis(monkeypatch, shape):
+    d = 4
+    spectrum, coup = RydbergSpectrum(5, d), RabiCouplings.uniform(d)
+    calls, bases = [], []
+    propagate, change, evolve = pulses_module._propagate, pulses_module.change_basis, pulses_module.free_evolve
+
+    def spy_propagate(y0, *args):
+        calls.append(y0.shape)
+        return propagate(y0, *args)
+
+    def spy_change(v, to):
+        bases.append(to)
+        return change(v, to)
+
+    def spy_evolve(v, *args):
+        bases.append(v.basis)
+        return evolve(v, *args)
+
+    monkeypatch.setattr(pulses_module, "_propagate", spy_propagate)
+    monkeypatch.setattr(pulses_module, "change_basis", spy_change)
+    monkeypatch.setattr(pulses_module, "free_evolve", spy_evolve)
+    for n in (1, 2, 8):
+        calls.clear()
+        selectivity_sweep(spectrum, coup, np.geomspace(spectrum.t_kepler, spectrum.t_kepler / (4.0 * d), num=n),
+                          shape=shape)
+        # one stack through the full band, one through the two-level pair; a one-column stack is the lone call
+        lone = [(d + 1,), (2,)] if n == 1 else []
+        assert [c for c in calls if len(c) == 2] == [(d + 1, n), (2, n)]
+        assert sorted(c for c in calls if len(c) == 1) == sorted(lone)
+    assert WAVEPACKET not in bases

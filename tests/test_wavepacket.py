@@ -62,6 +62,14 @@ def test_kepler_period_scaling():
     assert_allclose(spectrum.t_kepler, 2.0 * np.pi * 125.0)
 
 
+def test_kepler_period_keeps_an_integer_cube_exact():
+    # the period the constructor checks is the one the spectrum reports: 2π (n̄ n̄ n̄), whose cube of an
+    # integer n̄ is exact, so it is 2π n̄³ to the bit there
+    for n in (1, 2, 5, 10, 1000):
+        for n_bar in (n, float(n)):
+            assert RydbergSpectrum(n_bar, 3).t_kepler == 2.0 * np.pi * n**3
+
+
 def test_frequency_offsets_term_by_term():
     t_rev, t_sr = 400.0, 9000.0
     spectrum = RydbergSpectrum(4, 4, t_rev=t_rev, t_sr=t_sr, truncation=SUPER_REVIVAL)
@@ -273,3 +281,19 @@ def test_dispersion_fidelity_even_offset_states_revive_at_t_rev():
     even[0] = even[2] = 1.0 / np.sqrt(2.0)
     v = AmplitudeVector(ENERGY, even)
     assert_allclose(dispersion_fidelity(v, spectrum, t_rev), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [20.0, 1e10, 1e14, 1e16])
+@pytest.mark.parametrize("d", [3, 6])
+def test_dispersion_fidelity_holds_at_any_revival_time(d, ratio):
+    # the Kepler term cancels between the truncations, so only the revival phase π j² dt / T_rev enters
+    # and the fidelity depends on dt / T_rev alone, however long T_rev is against T_K
+    spectrum = RydbergSpectrum(5, d, t_rev=ratio * 2.0 * np.pi * 5**3, truncation=REVIVAL)
+    rng = np.random.default_rng(d)
+    packet = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for v in (AmplitudeVector(WAVEPACKET, np.eye(d)[0]), AmplitudeVector(WAVEPACKET, packet / np.linalg.norm(packet))):
+        p = np.abs(change_basis(v, ENERGY).amps) ** 2
+        j = level_offsets(d)
+        for frac in (0.5, 1.0, 2.0):
+            want = abs(np.sum(p * np.exp(1j * np.pi * j**2 * frac))) ** 2
+            assert abs(dispersion_fidelity(v, spectrum, frac * spectrum.t_rev) - want) <= 1e-12
