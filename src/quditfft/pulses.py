@@ -421,7 +421,7 @@ def selectivity_sweep(
     shape: str = "square",
     n_steps: int | None = None,
 ) -> np.ndarray:
-    """Leakage for each pulse duration, all other settings shared, from one stacked propagation.
+    """Leakage for each pulse duration, all other settings shared, from one column stack per model.
 
     Each point is :func:`selectivity_error` at its duration, to the bit on the eigh path and up to the
     stacked RK4 ground row's rounding otherwise, but no duration warns for being unselective.

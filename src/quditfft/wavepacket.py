@@ -103,14 +103,15 @@ class RydbergSpectrum:
         j = level_offsets(self.d).astype(np.float64)
         terms = [j / self.t_kepler]
         if self.truncation in (REVIVAL, SUPER_REVIVAL):
-            terms.append(-(j**2 / (2.0 * self.t_rev)))
+            terms.append(j**2 / (-2.0 * self.t_rev))
         if self.truncation == SUPER_REVIVAL:
             terms.append(j**3 / (6.0 * self.t_sr))
         return terms
 
     def frequency_offsets(self) -> np.ndarray:
         """ω_j - ω_0 for each level, indexed by digit, honoring the truncation."""
-        return 2.0 * np.pi * sum(self._taylor_terms())
+        kepler, *rest = self._taylor_terms()
+        return 2.0 * np.pi * sum(rest, kepler)
 
 
 def wavepacket_basis_matrix(d: int) -> np.ndarray:
