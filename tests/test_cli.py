@@ -276,7 +276,7 @@ def test_revival_term_overflowing_the_frequencies_exits_two_naming_its_ratio(tmp
 
 
 def test_huge_multiplicity_runs_to_a_failed_gate(tmp_path, capsys):
-    # a 2^62-cycle drive once ran to a gate failed on rounding alone; past 2^32 the dialed phase carries
+    # a 2^62-cycle drive would run to a gate failed on rounding alone: past 2^32 the dialed phase carries
     # more rounding than the gate's tolerance allows, so the config is refused before any schedule is built
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "iontrap", "multiplicity": 2**62}))

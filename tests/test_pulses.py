@@ -604,9 +604,9 @@ def test_selectivity_sweep_over_unselective_durations_warns_nothing():
 
 
 def _packet_basis_leakage(spectrum, pulse, coup, n_steps=None):
-    """Oracle: the leakage by way of the packet basis, as measured before the energy-basis routine. The
-    core packet in slot 0 free-evolves back by T/2 there, runs through integrate_full, and meets the
-    closed-form resonant map or, detuned, the two-level integrator fired at the pulse center."""
+    """Oracle: the same leakage by way of the packet basis. The core packet in slot 0 free-evolves back
+    by T/2 there, runs through integrate_full, and meets the closed-form resonant map or, detuned, the
+    two-level integrator fired at the pulse center."""
     core = AtomState.core_packet(spectrum.d)
     start = AtomState(0.0, free_evolve(core.wp, spectrum, -pulse.duration / 2.0))
     full = integrate_full(start, pulse, coup, spectrum, n_steps=n_steps)
@@ -646,8 +646,8 @@ def test_leakage_in_the_energy_basis_is_the_packet_basis_oracle(d, truncation):
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
 @pytest.mark.parametrize("d", [3, 5])
 def test_stepped_leakage_is_the_packet_basis_oracle(d, shape):
-    # detuned, the oracle's ideal already ran the stepped two-level model; on resonance it took the closed
-    # form, where the routine now steps the two-level pair like the band, within the steps' truncation
+    # detuned, both ideals run the stepped two-level model; on resonance the oracle's takes the closed form
+    # while the routine steps the two-level pair like the band, so the two agree within the steps' truncation
     spectrum, coup, durations = _leakage_case(d, REVIVAL)
     for detuning, tol in ((0.03, 1e-14), (0.0, 1e-10)):
         pulse = PulseProfile(durations[1], math.pi, shape=shape, center_detuning=detuning)
