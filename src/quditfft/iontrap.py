@@ -35,8 +35,8 @@ Conventions and idealizations:
   * Rotating frame: band amplitudes rotate at the spectrum's frequency
     offsets w_j; both ionic ground states, the auxiliary level, and the trap
     mode carry no free phase. Pulses are instantaneous maps at their nominal
-    times (swaps and sidebands are pi pulses), and the trap is hard-capped at
-    one phonon: populations that would leave the cap raise ContractError.
+    times (swaps and sidebands: the pulse layer's ``resonant_pulse_map(pi)``);
+    the trap is hard-capped at one phonon: leaving the cap raises ContractError.
   * A state may carry leading batch axes, amps of shape (..., d+1, d+2, 2).
     Every map acts on each state of the stack on its own, and every contract
     (phonon cap, norm) is checked per state, never on the sum over the stack.
@@ -76,8 +76,9 @@ import numpy as np
 
 from .constants import EPS_STATE
 from .errors import ContractError, require_unit_norm
+from .pulses import resonant_pulse_map
 from .register import RegisterShape, check_amplitude_count
-from .wavepacket import REVIVAL, SUPER_REVIVAL, RydbergSpectrum, _packet_matrices, level_offsets
+from .wavepacket import RydbergSpectrum, _packet_matrices, level_offsets
 
 PULSE_KINDS = ("packet_swap", "sideband", "aux")
 _SWAP, _SIDEBAND, _AUX = range(len(PULSE_KINDS))  # the kind codes of a PulseSchedule
@@ -85,6 +86,7 @@ _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
 _SPLITTER = 134217729.0  # 2**27 + 1, splits a float into two 26-bit halves
 _MAX_FRAME_TIME = sys.float_info.max / _SPLITTER  # ~1.339e300: from this time on, the split of tau overflows
 _UPDATE_BYTES = 1 << 18  # a swap updates the level rows in blocks whose outer product stays in cache
+_MAX_MULTIPLICITY = 2**32  # whole auxiliary cycles per drive, for configs and hand-built schedules alike
 
 # Ion axis layout: the control ion uses indices 0..d-1 for band levels in the
 # energy basis and index d for its ground state. The target ion uses 0..d-1
@@ -207,8 +209,7 @@ def free_evolve_joint(state: JointIonState, spectrum: RydbergSpectrum, dt: float
     """
     if not math.isfinite(dt):
         raise ValueError(f"free evolution needs one finite time, got {dt}")
-    phases = np.exp(-1j * spectrum.frequency_offsets() * dt)
-    return JointIonState(state.d, _from_frame(_to_frame(state, spectrum), phases), state.t + dt)
+    return JointIonState(state.d, _from_frame(_to_frame(state, spectrum), spectrum._free_phases(dt)), state.t + dt)
 
 
 def _rotate(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,8 +241,9 @@ def check_multiplicity(multiplicity: int) -> int:
     # The dialed phase p*pi*(1 + x) carries p*pi times the rounding of the solved x, and a gate's 1 - F
     # grows as its square: about 2e-12 at p = 2**32 but 6e-10 at 2**36 (d = 3 and 6), against
     # EPS_FIDELITY = 1e-9. Up to 2**32 rounding stays two orders of magnitude under the gate's tolerance.
-    if not 1 <= multiplicity <= 2**32 or multiplicity != int(multiplicity):
-        raise ValueError(f"multiplicity must be a finite integer from 1 to 2**32 = {2**32}, got {multiplicity}")
+    if not 1 <= multiplicity <= _MAX_MULTIPLICITY or multiplicity != int(multiplicity):
+        raise ValueError(f"multiplicity must be a finite integer from 1 to 2**32 = {_MAX_MULTIPLICITY}, "
+                         f"got {multiplicity}")
     return int(multiplicity)
 
 
@@ -257,15 +259,12 @@ def check_gate_time(spectrum: RydbergSpectrum, kepler_periods: float) -> None:
     a level frequency w_j, which is split like a time, reaches it through j / T_K (t_rev_ratio or
     t_sr_ratio if through a larger revival or super-revival term)."""
     with np.errstate(over="ignore", invalid="ignore"):
+        largest = [np.max(np.abs(term)) for term in spectrum._taylor_terms()]
         fastest = np.max(np.abs(spectrum.frequency_offsets()))
     if not fastest < _MAX_FRAME_TIME:
-        j, t_k = float(np.abs(level_offsets(spectrum.d)).max()), spectrum.t_kepler
-        terms = [(j / t_k, "n_bar", "j / n̄³", spectrum.n_bar)]
-        if spectrum.truncation in (REVIVAL, SUPER_REVIVAL):
-            terms.append((j * j / (2.0 * spectrum.t_rev), "t_rev_ratio", "j² / (2 T_rev)", spectrum.t_rev / t_k))
-        if spectrum.truncation == SUPER_REVIVAL:
-            terms.append((j**3 / (6.0 * spectrum.t_sr), "t_sr_ratio", "j³ / (6 T_sr)", spectrum.t_sr / t_k))
-        _, name, term, value = max(terms, key=lambda entry: entry[0])  # n_bar first, so it wins a tie
+        i = int(np.argmax(largest))  # the first of equal terms, so n_bar wins a tie
+        name, term = (("n_bar", "j / n̄³"), ("t_rev_ratio", "j² / (2 T_rev)"), ("t_sr_ratio", "j³ / (6 T_sr)"))[i]
+        value = spectrum.n_bar if i == 0 else (spectrum.t_rev, spectrum.t_sr)[i - 1] / spectrum.t_kepler
         raise ValueError(f"{name} must be large enough that the level frequencies w_j, about {term}, stay below "
                          f"{_MAX_FRAME_TIME:.4g}, got d = {spectrum.d}, {name} = {value}")
     for name, periods in (("n_bar", 1), ("kepler_periods", kepler_periods)):
@@ -374,8 +373,9 @@ class PulseSchedule:
         _require_all(np.where(kinds == _SIDEBAND, levels >= 0, levels == -1), "levels must be >= 0 on sidebands "
                      "and -1 off them", levels)
         _require_all((kinds == _AUX) | (detunings == 0), "detunings must be 0 off auxiliary drives", detunings)
-        _require_all(np.where(kinds == _AUX, multiplicities >= 1, multiplicities == 1), "multiplicities must be "
-                     ">= 1 on auxiliary drives and 1 off them", multiplicities)
+        _require_all(np.where(kinds == _AUX, (multiplicities >= 1) & (multiplicities <= _MAX_MULTIPLICITY),
+                              multiplicities == 1), f"multiplicities must be from 1 to 2**32 = {_MAX_MULTIPLICITY} "
+                     "on auxiliary drives and 1 off them", multiplicities)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -398,12 +398,12 @@ def execute_schedule(state: JointIonState, steps: PulseSchedule, params: TrapPar
 
 
 def _frame_phases(spectrum: RydbergSpectrum, times: np.ndarray) -> np.ndarray:
-    """exp(+i w_j tau) for each time tau, shape (len(times), d).
+    """exp(+i w_j tau) for each time tau, shape (len(times), d): the executor's phase rule.
 
-    w_j * tau is reduced mod 2 pi from the exact product of the two floats
-    (Dekker 1971), so a late phase rounds like an early one; the rounded
-    product alone would be off by up to half an ulp of its ~1e4 rad. From
-    |tau| = _MAX_FRAME_TIME on the split overflows and the phase comes out not finite.
+    w_j * tau is reduced mod 2 pi from the exact product of the two floats (Dekker 1971), so a late phase
+    rounds like an early one; the rounded product of ``RydbergSpectrum._free_phases`` can be off by half an
+    ulp of its ~1e4 rad. ``free_evolve`` and ``free_evolve_joint`` keep that product: their reported bits, and
+    the tests' oracles, are built on it. From |tau| = _MAX_FRAME_TIME on the split overflows (not finite).
     """
     w = spectrum.frequency_offsets()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -444,10 +444,9 @@ def _pulse_maps(steps: PulseSchedule, t: float, params: TrapParams,
     _require_all(level < d, f"level digit must be in [0, {d})", level)
     maps = np.empty((len(times), 6 + 2 * d), dtype=np.complex128)
     maps[:, 0], maps[:, 1] = kinds, steps.levels
-    c, s = math.cos(math.pi / 2.0), math.sin(math.pi / 2.0)  # pi pulses exp[-+i (pi/2) sigma_x]
-    maps[:, 2:6] = c, 1j * s, 1j * s, c
+    maps[:, 2:6] = pi_map = resonant_pulse_map(math.pi).ravel()  # exp[-i (pi/2) sigma_x]; sidebands fire its inverse
     p = frames[1:][sideband, level]
-    maps[sideband, 3], maps[sideband, 4] = -1j * s * p, -1j * s * p.conj()
+    maps[sideband, 3], maps[sideband, 4] = -pi_map[1] * p, -pi_map[2] * p.conj()
     aux_rows = list(zip(steps.detunings[aux].tolist(), steps.multiplicities[aux].tolist()))
     aux_maps = {row: _aux_map(row[0], params.omega_ge, row[1]) for row in dict.fromkeys(aux_rows)}  # one per value
     maps[aux, 2:6] = np.reshape([aux_maps[row] for row in aux_rows], (-1, 4))

@@ -113,6 +113,10 @@ class RydbergSpectrum:
         kepler, *rest = self._taylor_terms()
         return 2.0 * np.pi * sum(rest, kepler)
 
+    def _free_phases(self, dt: float | np.ndarray) -> np.ndarray:
+        """exp(-i (ω_j - ω_0) dt) from the rounded product, shape (d,) for one time, (len(dt), d) for a 1-D array."""
+        return np.exp(-1j * self.frequency_offsets() * np.asarray(dt, dtype=np.float64)[..., None])
+
 
 def wavepacket_basis_matrix(d: int) -> np.ndarray:
     """Unitary U with U[j, k] = exp(-i 2π j k / d)/√d: column k is packet k in level amplitudes.
@@ -200,7 +204,7 @@ def free_evolve(v: AmplitudeVector, spectrum: RydbergSpectrum,
         raise ValueError(f"free evolution needs one finite time or a 1-D array of them, got {dt}")
     if v.d != spectrum.d:
         raise ValueError(f"vector has d={v.d} but spectrum has d={spectrum.d}")
-    phases = np.exp(-1j * spectrum.frequency_offsets() * times[..., None])
+    phases = spectrum._free_phases(times)
     if v.basis == ENERGY:
         amps = v.amps * phases
     else:

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from quditfft import (
     EPS_STATE,
+    AmplitudeVector,
     ContractError,
     JointIonState,
     PulseSchedule,
@@ -19,9 +20,11 @@ from quditfft import (
     build_phase_gate_schedule,
     build_run_steps,
     execute_schedule,
+    free_evolve,
     free_evolve_joint,
     hybrid_phase_targets,
     level_offsets,
+    resonant_pulse_map,
     solve_aux_detuning,
     verify_hybrid_gate,
     wavepacket_basis_matrix,
@@ -967,3 +970,87 @@ def test_one_detuning_solve_and_one_aux_map_per_distinct_value(monkeypatch, d):
         assert detuning == solve(float(phi), params.omega_ge)
     execute_schedule(JointIonState.hybrid_basis(d, 1, 2), steps, params, spectrum)
     assert sorted(aux_maps) == sorted(set(steps.detunings[2::5].tolist()))
+
+
+def trap_spectrum(d, truncation):
+    """The n̄ = 2 spectrum at d, with T_rev = 20 T_K under the revival truncation."""
+    kepler = RydbergSpectrum(2, d)
+    if truncation == "kepler":
+        return kepler
+    return RydbergSpectrum(2, d, t_rev=20.0 * kepler.t_kepler, truncation="revival")
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("truncation", ["kepler", "revival"])
+def test_pi_maps_are_the_pulse_layers_resonant_map(d, truncation):
+    # swaps fire resonant_pulse_map(pi) as it is; a sideband fires its off-diagonal entries times -p and
+    # -conj(p), p its level's frame phase. A hand-built schedule that opens with an auxiliary drive comes too.
+    spectrum, params = trap_spectrum(d, truncation), TrapParams()
+    gate = build_phase_gate_schedule(0, 1, RegisterShape(d, 2), params, spectrum)
+    t_aux = gate.times[0] / 2.0
+    hand = pulses(("aux", t_aux, -1, 3.0, 2), ("sideband", gate.times[0], d - 1), ("packet_swap", gate.times[1]),
+                  ("sideband", gate.times[2], 0))
+    pi_map = resonant_pulse_map(math.pi).ravel()
+    for steps in (gate, hand):
+        maps, _, _ = iontrap_module._pulse_maps(steps, 0.0, params, spectrum)
+        frames = iontrap_module._frame_phases(spectrum, steps.times)
+        for row, kind, level, frame in zip(maps, steps.kinds, steps.levels, frames):
+            if kind == PULSE_KINDS.index("packet_swap"):
+                assert row[2:6].tobytes() == pi_map.tobytes()
+            elif kind == PULSE_KINDS.index("sideband"):
+                p = frame[level : level + 1]
+                assert row[[2, 5]].tobytes() == pi_map[[0, 3]].tobytes()
+                assert row[3:4].tobytes() == (-pi_map[1] * p).tobytes()
+                assert row[4:5].tobytes() == (-pi_map[2] * p.conj()).tobytes()
+
+
+def one_ion_state(d, level_amps, packet_amps):
+    """Control ion in its levels with the target in ground, plus control in ground with the target in packets."""
+    amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
+    amps[:d, d, 0], amps[d, :d, 0] = level_amps, packet_amps
+    return JointIonState(d, amps)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("truncation", ["kepler", "revival"])
+@pytest.mark.parametrize("periods", [-3.7, 0.4, 11.0])
+def test_free_evolve_joint_takes_the_wavepacket_phase(d, truncation, periods):
+    # one rounded phase rule for both layers: control levels pick up the energy-basis phases bit for bit,
+    # target packets the wave-packet evolution up to how a GEMM and a matvec round
+    spectrum = trap_spectrum(d, truncation)
+    dt = periods * spectrum.t_kepler
+    rng = np.random.default_rng([d, len(truncation)])
+    e, b = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+    levels = free_evolve_joint(one_ion_state(d, e, 0.0), spectrum, dt)
+    assert levels.amps[:d, d, 0].tobytes() == free_evolve(AmplitudeVector("energy", e), spectrum, dt).amps.tobytes()
+    packets = free_evolve_joint(one_ion_state(d, 0.0, b), spectrum, dt)
+    want = free_evolve(AmplitudeVector("wavepacket", b), spectrum, dt).amps
+    assert_allclose(packets.amps[d, :d, 0], want, rtol=0, atol=1e-15)
+    for out in (levels, packets):
+        assert out.t == dt
+
+
+def test_hand_built_schedule_takes_the_multiplicity_bound():
+    # 2**62 whole cycles read cos and sin of ~1.4e19 rad, where floats lie 2048 apart: refused by name
+    with pytest.raises(ValueError, match="multiplicities must be"):
+        PulseSchedule([2], [0.0], [-1], [0.0], [2**62])
+    with pytest.raises(ValueError, match="multiplicities must be"):
+        PulseSchedule([2], [0.0], [-1], [0.0], [2**32 + 1])
+    # the largest accepted drive still completes its cycles: |target ground, 1 phonon> stays put
+    d = 3
+    amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
+    amps[d, d, 1] = 1.0
+    out = execute_schedule(JointIonState(d, amps), PulseSchedule([2], [0.0], [-1], [0.0], [2**32]), TrapParams(),
+                           RydbergSpectrum(2, d))
+    assert out.aux_population() <= 1e-11
+
+
+def test_gate_time_names_the_largest_taylor_term_and_n_bar_on_a_tie():
+    # T_K = 2π n̄³ just above the smallest normal float: at d = 12, j / T_K and j² / (2 T_rev) both overflow
+    n_bar = 1.6e-103
+    with pytest.raises(ValueError, match="^n_bar must be large enough"):
+        iontrap_module.check_gate_time(RydbergSpectrum(n_bar, 12, t_rev=5e-324, truncation="revival"), 2)
+    with pytest.raises(ValueError, match="^t_rev_ratio must be large enough"):
+        iontrap_module.check_gate_time(RydbergSpectrum(n_bar, 3, t_rev=5e-324, truncation="revival"), 2)
+    with pytest.raises(ValueError, match="^t_sr_ratio must be large enough"):
+        iontrap_module.check_gate_time(RydbergSpectrum(5, 3, t_rev=1.0, t_sr=5e-324, truncation="super-revival"), 2)
