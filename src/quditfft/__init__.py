@@ -27,9 +27,7 @@ from .iontrap import (
     JointIonState,
     PulseSchedule,
     TrapParams,
-    aux_cycle_phase,
     build_phase_gate_schedule,
-    build_run_steps,
     execute_schedule,
     free_evolve_joint,
     hybrid_phase_targets,
@@ -49,7 +47,6 @@ from .pulses import (
 from .register import (
     QuditState,
     RegisterShape,
-    basis_state,
     dit_reversal_permutation,
     measure_register,
 )
@@ -84,11 +81,8 @@ __all__ = [
     "apply_fourier_gate",
     "apply_phase_gate",
     "apply_sequence",
-    "aux_cycle_phase",
-    "basis_state",
     "build_fft_sequence",
     "build_phase_gate_schedule",
-    "build_run_steps",
     "change_basis",
     "direct_dft",
     "dispersion_fidelity",

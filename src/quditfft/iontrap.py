@@ -52,8 +52,10 @@ Conventions and idealizations:
     a sideband on level j gains exp(+i w_j tau) on the entry into |j, 0> and
     exp(-i w_j tau) on the entry into |ground, 1>; the auxiliary drive is
     unchanged. Every phase and 2x2 map of a schedule is made before the first
-    pulse fires, each phase argument w_j tau reduced mod 2 pi from its exact
-    float product (refused from tau ~ 1.339e300 on). U and
+    pulse fires. There is one free phase rule, ``RydbergSpectrum._free_phases``,
+    which reduces w_j dt mod 2 pi from the exact float product: the frame
+    phase exp(+i w_j tau) is its value at dt = -tau, and ``free_evolve_joint``
+    reads it at dt (pulse times are refused from tau ~ 1.339e300 on). U and
     U^dag appear only at the state boundary; the input is never written. ``verify_hybrid_gate`` loads
     U[:, k0] for the d*d basis states (j0, k0) into one such buffer, fires
     the schedule run by run, reads the trap row after each run, and reads its
@@ -68,7 +70,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -78,13 +79,10 @@ from .constants import EPS_STATE
 from .errors import ContractError, require_unit_norm
 from .pulses import resonant_pulse_map
 from .register import RegisterShape, check_amplitude_count
-from .wavepacket import RydbergSpectrum, _packet_matrices, level_offsets
+from .wavepacket import _MAX_FREE_TIME, RydbergSpectrum, _packet_matrices, level_offsets
 
 PULSE_KINDS = ("packet_swap", "sideband", "aux")
 _SWAP, _SIDEBAND, _AUX = range(len(PULSE_KINDS))  # the kind codes of a PulseSchedule
-_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - float(2 pi)
-_SPLITTER = 134217729.0  # 2**27 + 1, splits a float into two 26-bit halves
-_MAX_FRAME_TIME = sys.float_info.max / _SPLITTER  # ~1.339e300: from this time on, the split of tau overflows
 _UPDATE_BYTES = 1 << 18  # a swap updates the level rows in blocks whose outer product stays in cache
 _MAX_MULTIPLICITY = 2**32  # whole auxiliary cycles per drive, for configs and hand-built schedules alike
 
@@ -113,20 +111,14 @@ class TrapParams:
             raise ValueError(f"omega_ge must be positive and finite, with a finite square, got {self.omega_ge}")
 
 
-def _per_state(x: np.ndarray) -> float | np.ndarray:
-    """A float for an unbatched state, an array over the batch axes otherwise."""
-    return float(x) if x.ndim == 0 else x
-
-
 @dataclass(frozen=True)
 class JointIonState:
     """Joint amplitudes of control ion, target ion, and trap mode at time t.
 
     ``amps`` has shape (..., d+1, d+2, 2): optional leading batch axes, then
     the axis layout described at module top. All states of a stack share the
-    time ``t``. Norm is not enforced on construction. The population and norm
-    accessors return a float for an unbatched state and an array over the
-    batch axes otherwise.
+    time ``t``. Norm is not enforced on construction; ``norm`` returns a float
+    for an unbatched state and an array over the batch axes otherwise.
     """
 
     d: int
@@ -142,40 +134,13 @@ class JointIonState:
             raise ValueError(f"amps shape {amps.shape} does not match layout (..., {want})")
         object.__setattr__(self, "amps", amps)
 
-    @classmethod
-    def hybrid_basis(cls, d: int, level_digit: int, packet_slot: int, t: float = 0.0) -> "JointIonState":
-        """Control ion in band level ``level_digit``, target in packet ``packet_slot``, trap empty."""
-        if not 0 <= level_digit < d:
-            raise ValueError(f"level digit must be in [0, {d}), got {level_digit}")
-        if not 0 <= packet_slot < d:
-            raise ValueError(f"packet slot must be in [0, {d}), got {packet_slot}")
-        amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
-        amps[level_digit, packet_slot, 0] = 1.0
-        return cls(d, amps, t)
-
     def norm(self) -> float | np.ndarray:
-        return _per_state(np.sqrt(np.sum(np.abs(self.amps) ** 2, axis=(-3, -2, -1))))
+        norm = np.sqrt(np.sum(np.abs(self.amps) ** 2, axis=(-3, -2, -1)))
+        return float(norm) if norm.ndim == 0 else norm
 
     def require_normalized(self, tol: float = EPS_STATE) -> None:
         """Raise ContractError if any state of the stack is off unit norm."""
         require_unit_norm(self.norm(), "joint state", tol)
-
-    def trap_excited_population(self) -> float | np.ndarray:
-        # C order: the sum runs in one order for any memory layout, so a view gives a fresh state's bits
-        return _per_state(np.sum(np.abs(self.amps[..., 1], order="C") ** 2, axis=(-2, -1)))
-
-    def aux_population(self) -> float | np.ndarray:
-        return _per_state(np.sum(np.abs(self.amps[..., :, self.d + 1, :]) ** 2, axis=(-2, -1)))
-
-    def ground_populations(self) -> tuple[float | np.ndarray, float | np.ndarray]:
-        """(control ground, target ground) populations."""
-        control = np.sum(np.abs(self.amps[..., self.d, :, :]) ** 2, axis=(-2, -1))
-        target = np.sum(np.abs(self.amps[..., :, self.d, :]) ** 2, axis=(-2, -1))
-        return _per_state(control), _per_state(target)
-
-    def hybrid_block(self) -> np.ndarray:
-        """The (level, slot) amplitudes with both ions in the band and trap empty."""
-        return self.amps[..., : self.d, : self.d, 0].copy()
 
 
 def _to_frame(state: JointIonState, spectrum: RydbergSpectrum) -> np.ndarray:
@@ -203,12 +168,10 @@ def _from_frame(buf: np.ndarray, phases: np.ndarray) -> np.ndarray:
 def free_evolve_joint(state: JointIonState, spectrum: RydbergSpectrum, dt: float) -> JointIonState:
     """Free evolution for dt of either sign (negative removes earlier phases).
 
-    Control band levels pick up exp(-i dw_j dt); target packet slots go to
-    levels by U, pick up the same phases and come back by U^dag. Ground
-    states, the auxiliary level, and the trap mode stay fixed in this frame.
+    Control band levels pick up exp(-i dw_j dt) from ``RydbergSpectrum._free_phases``, the rule the
+    executor's frame reads; target packet slots go to levels by U, pick up the same phases and come back
+    by U^dag. Ground states, the auxiliary level, and the trap mode stay fixed in this frame.
     """
-    if not math.isfinite(dt):
-        raise ValueError(f"free evolution needs one finite time, got {dt}")
     return JointIonState(state.d, _from_frame(_to_frame(state, spectrum), spectrum._free_phases(dt)), state.t + dt)
 
 
@@ -233,7 +196,8 @@ def _require_within_cap(stranded_amps: np.ndarray, axis: int, where: str, pulse:
 def _require_all(ok: np.ndarray, what: str, values: np.ndarray) -> None:
     """ValueError naming the first entry of ``values`` where ``ok`` is false."""
     if not ok.all():
-        raise ValueError(f"{what}, got {values[np.argmin(ok)].item()!r}")
+        first = np.argmin(ok)  # a slice, so an object column gives its Python int too
+        raise ValueError(f"{what}, got {values.ravel()[first : first + 1].item()!r}")
 
 
 def check_multiplicity(multiplicity: int) -> int:
@@ -261,16 +225,16 @@ def check_gate_time(spectrum: RydbergSpectrum, kepler_periods: float) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         largest = [np.max(np.abs(term)) for term in spectrum._taylor_terms()]
         fastest = np.max(np.abs(spectrum.frequency_offsets()))
-    if not fastest < _MAX_FRAME_TIME:
+    if not fastest < _MAX_FREE_TIME:
         i = int(np.argmax(largest))  # the first of equal terms, so n_bar wins a tie
         name, term = (("n_bar", "j / n̄³"), ("t_rev_ratio", "j² / (2 T_rev)"), ("t_sr_ratio", "j³ / (6 T_sr)"))[i]
         value = spectrum.n_bar if i == 0 else (spectrum.t_rev, spectrum.t_sr)[i - 1] / spectrum.t_kepler
         raise ValueError(f"{name} must be large enough that the level frequencies w_j, about {term}, stay below "
-                         f"{_MAX_FRAME_TIME:.4g}, got d = {spectrum.d}, {name} = {value}")
+                         f"{_MAX_FREE_TIME:.4g}, got d = {spectrum.d}, {name} = {value}")
     for name, periods in (("n_bar", 1), ("kepler_periods", kepler_periods)):
-        if spectrum.d**2 * (periods + 1) * spectrum.t_kepler >= _MAX_FRAME_TIME:
+        if spectrum.d**2 * (periods + 1) * spectrum.t_kepler >= _MAX_FREE_TIME:
             raise ValueError(f"{name} must be small enough that d²·(kepler_periods + 1)·T_K, the bound on a gate's "
-                             f"pulse times, stays below {_MAX_FRAME_TIME:.4g}, got d = {spectrum.d}, "
+                             f"pulse times, stays below {_MAX_FREE_TIME:.4g}, got d = {spectrum.d}, "
                              f"n_bar = {spectrum.n_bar}, kepler_periods = {kepler_periods}")
 
 
@@ -278,15 +242,6 @@ def check_gate_qudits(l: int, m: int, q: int) -> None:
     """A phase gate couples a control qudit l to a target qudit m with 0 <= l < m < q."""
     if not 0 <= l < m < q:
         raise ValueError(f"need 0 <= control_index l < target_index m < q={q}, got l={l}, m={m}")
-
-
-def aux_cycle_phase(detuning: float, omega_ge: float, multiplicity: int = 1) -> float:
-    """Phase imprinted on |ground, 1 phonon> by a completed auxiliary drive.
-
-    Equals multiplicity * pi * (1 + detuning / omega_ge); exact because the
-    drive completes whole generalized Rabi cycles.
-    """
-    return multiplicity * math.pi * (1.0 + detuning / omega_ge)
 
 
 def solve_aux_detuning(phi: float, omega_ge: float, multiplicity: int = 1) -> float:
@@ -326,7 +281,7 @@ def _aux_map(detuning: float, omega_ge: float, multiplicity: int) -> tuple[compl
     hamiltonian [[0, w_c/2], [w_c/2, -detuning]], w_c^2 = omega_ge^2 -
     detuning^2, for a duration of ``multiplicity`` full cycles
     (2 pi p / omega_ge), as (m00, m01, m10, m11). Populations return where
-    they started and both states gain the phase from :func:`aux_cycle_phase`.
+    they started and both states gain the phase p * pi * (1 + detuning / omega_ge).
     """
     if not abs(detuning) <= omega_ge:
         raise ValueError(f"|detuning|={abs(detuning)} exceeds omega_ge={omega_ge}; no real coupling exists")
@@ -356,10 +311,16 @@ class PulseSchedule:
     multiplicities: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, column in vars(self).items():
-            column, integer = np.asarray(column), name not in ("times", "detunings")
-            if integer and column.size and column.dtype.kind not in "iu":  # bools too
-                raise ValueError(f"{name} must be ints, got dtype {column.dtype}")
+        for name, given in vars(self).items():
+            column, integer = np.asarray(given), name not in ("times", "detunings")
+            if integer and column.size:
+                if column.dtype.kind not in "iu":  # Python ints past int64 come as objects, or as floats
+                    exact = np.asarray(given, dtype=object)
+                    if not all(isinstance(x, int) and not isinstance(x, bool) for x in exact.flat):  # bools too
+                        raise ValueError(f"{name} must be ints, got dtype {column.dtype}")
+                    column = exact
+                if not np.can_cast(column.dtype, np.int64):  # the cast would wrap a uint64 or raise on a larger int
+                    _require_all((column >= -2**63) & (column < 2**63), f"{name} must be ints within int64", column)
             column = column.astype(np.int64 if integer else np.float64)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -397,31 +358,6 @@ def execute_schedule(state: JointIonState, steps: PulseSchedule, params: TrapPar
     return JointIonState(state.d, _from_frame(buf, frame.conj()), t)
 
 
-def _frame_phases(spectrum: RydbergSpectrum, times: np.ndarray) -> np.ndarray:
-    """exp(+i w_j tau) for each time tau, shape (len(times), d): the executor's phase rule.
-
-    w_j * tau is reduced mod 2 pi from the exact product of the two floats (Dekker 1971), so a late phase
-    rounds like an early one; the rounded product of ``RydbergSpectrum._free_phases`` can be off by half an
-    ulp of its ~1e4 rad. ``free_evolve`` and ``free_evolve_joint`` keep that product: their reported bits, and
-    the tests' oracles, are built on it. From |tau| = _MAX_FRAME_TIME on the split overflows (not finite).
-    """
-    w = spectrum.frequency_offsets()
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.multiply.outer(times, w)
-        (t_hi, t_lo), (w_hi, w_lo) = _split(times[:, None]), _split(w)
-        r = np.fmod(x, 2.0 * math.pi)  # exact
-        turns = np.rint((x - r) / (2.0 * math.pi))
-        r += ((t_hi * w_hi - x) + t_hi * w_lo + t_lo * w_hi) + t_lo * w_lo - turns * _TWO_PI_LO
-        return np.exp(1j * r)
-
-
-def _split(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f = hi + lo exactly, each half with at most 26 significant bits."""
-    hi = _SPLITTER * f
-    hi -= hi - f
-    return hi, f - hi
-
-
 def _pulse_maps(steps: PulseSchedule, t: float, params: TrapParams,
                 spectrum: RydbergSpectrum) -> tuple[np.ndarray, float, np.ndarray]:
     """(maps, time after the last step, frame phases there) for a frame buffer at time t.
@@ -435,10 +371,9 @@ def _pulse_maps(steps: PulseSchedule, t: float, params: TrapParams,
     d, kinds, times = spectrum.d, steps.kinds, steps.times
     clock = np.concatenate(([t], times))  # the state time before each step and after the last
     _require_all(times >= clock[:-1] - 1e-9, "schedules run forward: no step before the state time", times)
-    _require_all(np.abs(clock - t) < _MAX_FRAME_TIME, "frame phases w_j * tau split exactly only for pulse "
+    _require_all(np.abs(clock - t) < _MAX_FREE_TIME, "frame phases w_j * tau split exactly only for pulse "
                  "times within ~1.3e300 of the schedule's start", clock)
-    frames = _frame_phases(spectrum, clock - t)
-    _require_all(np.isfinite(frames).all(axis=1), "frame phases w_j * tau must be finite at every pulse time", clock)
+    frames = spectrum._free_phases(t - clock)  # exp(+i w_j tau)
     sideband, aux = kinds == _SIDEBAND, kinds == _AUX
     level = steps.levels[sideband]
     _require_all(level < d, f"level digit must be in [0, {d})", level)
@@ -533,18 +468,6 @@ def _run_schedule(runs: list[tuple[int, int, float]], d: int, params: TrapParams
     return PulseSchedule(np.tile((_SWAP, _SIDEBAND, _AUX, _SIDEBAND, _SWAP), len(runs)), times,
                          np.ravel([(-1, j, -1, j, -1) for j, _, _ in runs]), np.ravel(detunings),
                          np.tile((1, 1, p, 1, 1), len(runs)))
-
-
-def build_run_steps(level_digit: int, packet_slot: int, phase: float, d: int, params: TrapParams,
-                    spectrum: RydbergSpectrum, t_min: float = 0.0, multiplicity: int = 1,
-                    kepler_periods: float = 2, t_ref: float = 0.0) -> PulseSchedule:
-    """The five pulses of one conditional-phase run on (level, packet)."""
-    if not 0 <= level_digit < d:
-        raise ValueError(f"level digit must be in [0, {d}), got {level_digit}")
-    if not 0 <= packet_slot < d:
-        raise ValueError(f"packet slot must be in [0, {d}), got {packet_slot}")
-    return _run_schedule([(level_digit, packet_slot, phase)], d, params, spectrum, t_min, multiplicity,
-                         kepler_periods, t_ref)
 
 
 def hybrid_phase_targets(d: int, span: int) -> np.ndarray:

@@ -166,13 +166,6 @@ class AtomState:
         object.__setattr__(self, "b_g", complex(self.b_g))
 
     @classmethod
-    def core_packet(cls, d: int) -> "AtomState":
-        """All population in packet slot 0, none in the ground state."""
-        packet = np.zeros(d, dtype=np.complex128)
-        packet[0] = 1.0
-        return cls(0.0, AmplitudeVector(WAVEPACKET, packet))
-
-    @classmethod
     def ground(cls, d: int) -> "AtomState":
         """All population in the ground state, empty band."""
         return cls(1.0, AmplitudeVector(WAVEPACKET, np.zeros(d, dtype=np.complex128)))

@@ -153,15 +153,6 @@ class QuditState:
         require_unit_norm(self.norm(), "state", tol)
 
 
-def basis_state(a: int, shape: RegisterShape) -> QuditState:
-    """Computational basis state |a> as a dense statevector."""
-    if not 0 <= a < shape.n_amps:
-        raise ValueError(f"basis index {a} out of range for {shape.n_amps} amplitudes")
-    amps = np.zeros(shape.n_amps, dtype=np.complex128)
-    amps[a] = 1.0
-    return QuditState(shape, amps)
-
-
 def measure_register(state: QuditState, rng_seed: int) -> tuple[int, ...]:
     """Sample one outcome from |amplitude|^2 as its digits, most significant first.
 

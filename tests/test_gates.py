@@ -14,7 +14,6 @@ from quditfft import (
     apply_fourier_gate,
     apply_phase_gate,
     apply_sequence,
-    basis_state,
     build_fft_sequence,
     direct_dft,
     dit_reversal_permutation,
@@ -26,6 +25,11 @@ from quditfft import gates as gates_module
 from quditfft.constants import BATCH_BUDGET
 from quditfft.gates import GateSequence, compile_sequence
 from quditfft.register import QuditState
+
+
+def basis_state(a, shape):
+    """Computational basis state |a> as a dense statevector."""
+    return QuditState(shape, np.eye(shape.n_amps)[a])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16])

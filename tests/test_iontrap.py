@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,9 +17,7 @@ from quditfft import (
     RegisterShape,
     RydbergSpectrum,
     TrapParams,
-    aux_cycle_phase,
     build_phase_gate_schedule,
-    build_run_steps,
     execute_schedule,
     free_evolve,
     free_evolve_joint,
@@ -53,6 +52,50 @@ def fire(state, kind, params=TrapParams(), target_level=-1, detuning=0.0, multip
     return execute_schedule(state, step, params, RydbergSpectrum(2, state.d))
 
 
+def hybrid_basis(d, level_digit, packet_slot, t=0.0):
+    """Control ion in band level ``level_digit``, target in packet ``packet_slot``, trap empty."""
+    if not (0 <= level_digit < d and 0 <= packet_slot < d):
+        raise ValueError(f"level digit and packet slot must be in [0, {d}), got {level_digit} and {packet_slot}")
+    amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
+    amps[level_digit, packet_slot, 0] = 1.0
+    return JointIonState(d, amps, t)
+
+
+def trap_excited_population(state):
+    # C order: the sum runs in one order for any memory layout, so a view gives a fresh state's bits
+    return np.sum(np.abs(state.amps[..., 1], order="C") ** 2, axis=(-2, -1))
+
+
+def aux_population(state):
+    return np.sum(np.abs(state.amps[..., :, state.d + 1, :]) ** 2, axis=(-2, -1))
+
+
+def ground_populations(state):
+    """(control ground, target ground) populations."""
+    d = state.d
+    control, target = state.amps[..., d, :, :], state.amps[..., :, d, :]
+    return np.sum(np.abs(control) ** 2, axis=(-2, -1)), np.sum(np.abs(target) ** 2, axis=(-2, -1))
+
+
+def hybrid_block(state):
+    """The (level, slot) amplitudes with both ions in the band and trap empty."""
+    return state.amps[..., : state.d, : state.d, 0]
+
+
+def aux_cycle_phase(detuning, omega_ge, multiplicity=1):
+    """The phase p pi (1 + detuning / omega_ge) a completed auxiliary drive imprints on |ground, 1 phonon>."""
+    return multiplicity * math.pi * (1.0 + detuning / omega_ge)
+
+
+def build_run_steps(level_digit, packet_slot, phase, d, params, spectrum, t_min=0.0, multiplicity=1,
+                    kepler_periods=2, t_ref=0.0):
+    """The five pulses of one conditional-phase run on (level, packet), from the gate's own run builder."""
+    if not (0 <= level_digit < d and 0 <= packet_slot < d):
+        raise ValueError(f"level digit and packet slot must be in [0, {d}), got {level_digit} and {packet_slot}")
+    return iontrap_module._run_schedule([(level_digit, packet_slot, phase)], d, params, spectrum, t_min,
+                                        multiplicity, kepler_periods, t_ref)
+
+
 def one_run(state, level_digit, packet_slot, phase, params, spectrum, kepler_periods=2):
     """One conditional-phase run starting no earlier than the state time."""
     steps = build_run_steps(
@@ -74,16 +117,16 @@ def unbatched_hybrid_gate(d, spectrum, kepler_periods):
     residual_max = 0.0
     for j0 in range(d):
         for k0 in range(d):
-            state = JointIonState.hybrid_basis(d, j0, k0)
+            state = hybrid_basis(d, j0, k0)
             for j in range(d):
                 for k in range(d):
                     state = one_run(
                         state, j, k, float(phases[j, k]), params, spectrum,
                         kepler_periods=kepler_periods,
                     )
-                    residual_max = max(residual_max, state.trap_excited_population())
+                    residual_max = max(residual_max, trap_excited_population(state))
             state = free_evolve_joint(state, spectrum, -state.t)
-            matrix[:, j0 * d + k0] = state.hybrid_block().ravel()
+            matrix[:, j0 * d + k0] = hybrid_block(state).ravel()
     return matrix, residual_max
 
 
@@ -104,18 +147,18 @@ def test_trap_params_validation():
 
 
 def test_hybrid_basis_state_layout():
-    state = JointIonState.hybrid_basis(3, 2, 1)
+    state = hybrid_basis(3, 2, 1)
     assert state.amps.shape == (4, 5, 2)
     assert state.amps[2, 1, 0] == 1.0
     assert_allclose(state.norm(), 1.0)
-    assert state.trap_excited_population() == 0.0
-    assert state.aux_population() == 0.0
-    assert state.ground_populations() == (0.0, 0.0)
-    block = state.hybrid_block()
+    assert trap_excited_population(state) == 0.0
+    assert aux_population(state) == 0.0
+    assert ground_populations(state) == (0.0, 0.0)
+    block = hybrid_block(state)
     assert block.shape == (3, 3)
     assert block[2, 1] == 1.0
     with pytest.raises(ValueError):
-        JointIonState.hybrid_basis(3, 3, 0)
+        hybrid_basis(3, 3, 0)
     with pytest.raises(ValueError):
         JointIonState(3, np.zeros((4, 4, 2)))
 
@@ -123,7 +166,7 @@ def test_hybrid_basis_state_layout():
 def test_free_evolve_joint_control_levels_and_negative_dt():
     d = 3
     spectrum = RydbergSpectrum(2, d)
-    state = JointIonState.hybrid_basis(d, 1, 0)
+    state = hybrid_basis(d, 1, 0)
     dt = 7.3
     out = free_evolve_joint(state, spectrum, dt)
     assert out.t == dt
@@ -138,7 +181,7 @@ def test_free_evolve_joint_cycles_target_packets():
     spectrum = RydbergSpectrum(2, d)
     slot_time = spectrum.t_kepler / d
     for k in range(d):
-        state = JointIonState.hybrid_basis(d, 0, k)
+        state = hybrid_basis(d, 0, k)
         out = free_evolve_joint(state, spectrum, slot_time)
         # the packet hops one slot per T_K/d
         assert_allclose(abs(out.amps[0, (k + 1) % d, 0]), 1.0, atol=1e-12)
@@ -146,7 +189,7 @@ def test_free_evolve_joint_cycles_target_packets():
 
 def test_packet_swap_exchanges_core_and_ground_on_target():
     d = 3
-    state = JointIonState.hybrid_basis(d, 1, 0)
+    state = hybrid_basis(d, 1, 0)
     out = fire(state, "packet_swap")
     # pi area: |slot 0> -> i |ground>
     assert_allclose(out.amps[1, d, 0], 1j, atol=1e-15)
@@ -155,13 +198,13 @@ def test_packet_swap_exchanges_core_and_ground_on_target():
     back = fire(out, "packet_swap")
     assert_allclose(back.amps[1, 0, 0], -1.0, atol=1e-15)
     # other slots are untouched
-    other = fire(JointIonState.hybrid_basis(d, 1, 2), "packet_swap")
+    other = fire(hybrid_basis(d, 1, 2), "packet_swap")
     assert_allclose(other.amps[1, 2, 0], 1.0, atol=1e-15)
 
 
 def test_sideband_moves_level_population_onto_phonon():
     d = 3
-    state = JointIonState.hybrid_basis(d, 1, 2)
+    state = hybrid_basis(d, 1, 2)
     out = fire(state, "sideband", target_level=1)
     # pi area with the opposite rotation sense: |level 1, 0> -> -i |ground, 1>
     assert_allclose(out.amps[d, 2, 1], -1j, atol=1e-15)
@@ -296,7 +339,7 @@ def test_execute_schedule_rejects_backward_steps():
     d = 3
     spectrum = RydbergSpectrum(2, d)
     params = TrapParams()
-    state = free_evolve_joint(JointIonState.hybrid_basis(d, 0, 0), spectrum, 5.0)
+    state = free_evolve_joint(hybrid_basis(d, 0, 0), spectrum, 5.0)
     steps = pulses(("packet_swap", 1.0))
     with pytest.raises(ValueError):
         execute_schedule(state, steps, params, spectrum)
@@ -350,16 +393,16 @@ def test_single_run_branch_bookkeeping():
     phi = 1.2345
     out = one_run(uniform_hybrid_state(d), 1, 2, phi, params, spectrum)
     out = free_evolve_joint(out, spectrum, -out.t)
-    block = out.hybrid_block() * d
+    block = hybrid_block(out) * d
     expected = np.ones((d, d), dtype=np.complex128)
     expected[1, :] = -1.0
     expected[:, 2] = -1.0
     expected[1, 2] = np.exp(1j * phi)
     assert_allclose(block, expected, atol=1e-12)
     # no population left on the trap, the aux level, or either ground state
-    assert out.trap_excited_population() < 1e-28
-    assert out.aux_population() < 1e-28
-    assert_allclose(out.ground_populations(), (0.0, 0.0), atol=1e-28)
+    assert trap_excited_population(out) < 1e-28
+    assert aux_population(out) < 1e-28
+    assert_allclose(ground_populations(out), (0.0, 0.0), atol=1e-28)
 
 
 def test_single_run_preserves_branch_moduli():
@@ -373,7 +416,7 @@ def test_single_run_preserves_branch_moduli():
     state = JointIonState(d, amps)
     out = one_run(state, 0, 1, 2.2, params, spectrum)
     out = free_evolve_joint(out, spectrum, -out.t)
-    assert_allclose(np.abs(out.hybrid_block()), np.abs(amps[:d, :d, 0]), atol=1e-10)
+    assert_allclose(np.abs(hybrid_block(out)), np.abs(amps[:d, :d, 0]), atol=1e-10)
 
 
 def test_hybrid_phase_targets_values():
@@ -454,7 +497,7 @@ def test_verify_hybrid_gate_reads_the_trap_after_every_run(monkeypatch):
     state, residuals = basis_stack(d), []
     for start in range(0, len(steps), 5):
         state = execute_schedule(state, steps[start : start + 5], params, spectrum)
-        residuals.append(float(state.trap_excited_population().max()))
+        residuals.append(float(trap_excited_population(state).max()))
     report = verify_hybrid_gate(RegisterShape(d, 2), 0, 1, params, spectrum)
     assert len(residuals) == d * d
     assert_allclose(report.trap_residual_max, max(residuals), rtol=0, atol=1e-13)
@@ -469,7 +512,7 @@ def test_verify_hybrid_gate_reads_the_trap_after_every_run(monkeypatch):
         if len(seen) == 1:
             parked.append(buf[where])
             buf[where] = 1e-4
-        seen.append(float(JointIonState(d, np.moveaxis(buf, 0, -2)).trap_excited_population().max()))
+        seen.append(float(trap_excited_population(JointIonState(d, np.moveaxis(buf, 0, -2))).max()))
 
     monkeypatch.setattr(iontrap_module, "_fire_in_place", fire_and_park)
     parked_report = verify_hybrid_gate(RegisterShape(d, 2), 0, 1, params, spectrum)
@@ -543,7 +586,7 @@ def test_batched_gate_matches_unbatched_reference(d, truncation, kepler_periods)
     # the whole process matrix, not just its diagonal, through the public pieces
     phases = hybrid_phase_targets(d, 1)
     stack = JointIonState(
-        d, np.stack([JointIonState.hybrid_basis(d, j, k).amps for j in range(d) for k in range(d)])
+        d, np.stack([hybrid_basis(d, j, k).amps for j in range(d) for k in range(d)])
     )
     for j in range(d):
         for k in range(d):
@@ -552,17 +595,17 @@ def test_batched_gate_matches_unbatched_reference(d, truncation, kepler_periods)
                 kepler_periods=kepler_periods,
             )
     stack = free_evolve_joint(stack, spectrum, -stack.t)
-    assert_allclose(stack.hybrid_block().reshape(d * d, d * d).T, matrix, rtol=0, atol=1e-12)
+    assert_allclose(hybrid_block(stack).reshape(d * d, d * d).T, matrix, rtol=0, atol=1e-12)
 
 
 def test_batched_state_accessors_are_per_state():
     d = 3
     stack = JointIonState(
-        d, np.stack([JointIonState.hybrid_basis(d, j, 0).amps for j in range(d)])
+        d, np.stack([hybrid_basis(d, j, 0).amps for j in range(d)])
     )
     assert_allclose(stack.norm(), np.ones(d))
-    assert stack.trap_excited_population().shape == (d,)
-    assert stack.hybrid_block().shape == (d, d, d)
+    assert trap_excited_population(stack).shape == (d,)
+    assert hybrid_block(stack).shape == (d, d, d)
     stack.require_normalized()
     bad = stack.amps.copy()
     bad[1] *= 1.0 + 1e-6
@@ -589,8 +632,8 @@ def test_trap_population_does_not_depend_on_memory_layout():
     shape = (d + 2, batch, d + 1, 2)
     buf = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-20, 0, size=shape)
     view = np.moveaxis(buf, 0, -2)
-    got = JointIonState(d, view).trap_excited_population()
-    assert np.array_equal(got, JointIonState(d, view.copy()).trap_excited_population())
+    got = trap_excited_population(JointIonState(d, view))
+    assert np.array_equal(got, trap_excited_population(JointIonState(d, view.copy())))
 
 
 def test_phonon_cap_contract_is_checked_per_state():
@@ -620,7 +663,7 @@ def test_phonon_cap_contract_does_not_sum_over_the_stack():
 def test_non_finite_times_and_detunings_are_rejected(bad):
     d = 3
     spectrum, params = RydbergSpectrum(5, d), TrapParams()
-    state = JointIonState.hybrid_basis(d, 1, 1)
+    state = hybrid_basis(d, 1, 1)
     with pytest.raises(ValueError, match="finite"):
         free_evolve_joint(state, spectrum, bad)
     with pytest.raises(ValueError, match="times must be finite"):
@@ -654,12 +697,12 @@ def test_pulse_step_requires_an_int_target_level():
     # the range check waits for the firing, where d is known
     step = pulses(("sideband", 0.0, 3))
     with pytest.raises(ValueError, match="level digit"):
-        execute_schedule(JointIonState.hybrid_basis(3, 0, 0), step, TrapParams(), RydbergSpectrum(2, 3))
+        execute_schedule(hybrid_basis(3, 0, 0), step, TrapParams(), RydbergSpectrum(2, 3))
 
 
 def basis_stack(d):
     """The d*d hybrid basis states, stack index j*d + k holding (level j, packet k)."""
-    return JointIonState(d, np.stack([JointIonState.hybrid_basis(d, j, k).amps for j in range(d) for k in range(d)]))
+    return JointIonState(d, np.stack([hybrid_basis(d, j, k).amps for j in range(d) for k in range(d)]))
 
 
 def test_execute_schedule_never_writes_its_input():
@@ -778,7 +821,7 @@ def test_times_too_late_for_exact_frame_phases_are_refused():
     # w_j * tau is reduced mod 2 pi from the split product; above ~1.3e300 the split overflows
     d = 3
     spectrum, params = RydbergSpectrum(2, d), TrapParams()
-    state = JointIonState.hybrid_basis(d, 1, 1)
+    state = hybrid_basis(d, 1, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="within ~1.3e300 of the schedule's start, got 1e\\+301"):
@@ -833,13 +876,24 @@ def reference_schedule(amps, t, steps, params, spectrum):
     return amps, t
 
 
+def reference_evolve_back(amps, spectrum, t, steps):
+    """Oracle: amps after the schedule, evolved back to its start time t the way the schedule evolved
+    forward, one inter-pulse interval at a time. A single step back by -t would carry the oracle's own
+    rounding of w_j * t, about 1e-13 rad at d=6."""
+    times = [t] + steps.times.tolist()
+    for later, earlier in zip(times[:0:-1], times[-2::-1]):
+        if later != earlier:
+            amps = reference_free_evolve(amps, spectrum, earlier - later)
+    return amps
+
+
 def test_state_time_advances_by_each_interval():
     # the clock is the schedule's own pulse times: from t=0.1, steps at 0.7 and
     # 2.9 end at exactly 2.9, where adding each interval, t + (time - t), would
     # reach 2.9000000000000004
     d = 3
     spectrum, params = RydbergSpectrum(2, d), TrapParams()
-    state = JointIonState(d, JointIonState.hybrid_basis(d, 1, 0).amps, 0.1)
+    state = JointIonState(d, hybrid_basis(d, 1, 0).amps, 0.1)
     steps = pulses(("packet_swap", 0.7), ("sideband", 2.9, 1))
     want, t = reference_schedule(state.amps, state.t, steps, params, spectrum)
     out = execute_schedule(state, steps, params, spectrum)
@@ -881,21 +935,14 @@ def test_executor_is_bit_equal_to_the_map_by_map_oracle(d, truncation, kepler_pe
         assert out.t == t
         assert_allclose(out.amps, want, rtol=0, atol=1e-13)
         back = free_evolve_joint(out, spectrum, -out.t)
-        assert_allclose(back.amps, reference_free_evolve(want, spectrum, -t), rtol=0, atol=1e-13)
+        assert_allclose(back.amps, reference_evolve_back(want, spectrum, state.t, steps), rtol=0, atol=1e-13)
 
-    # verify_hybrid_gate: the process matrix it forms and the trap read after
-    # every run. The oracle evolves back the way it evolved forward, one
-    # inter-pulse interval at a time: a single step back by -t would carry the
-    # rounding of w_j * t, about 1e-13 rad at d=6.
+    # verify_hybrid_gate: the process matrix it forms and the trap read after every run
     amps, t, residual = basis_stack(d).amps, 0.0, 0.0
     for start in range(0, len(steps), 5):
         amps, t = reference_schedule(amps, t, steps[start : start + 5], params, spectrum)
         residual = max(residual, float(np.sum(np.abs(amps[..., 1]) ** 2, axis=(-2, -1)).max()))
-    times = [0.0] + steps.times.tolist()
-    for later, earlier in zip(times[:0:-1], times[-2::-1]):
-        if later != earlier:
-            amps = reference_free_evolve(amps, spectrum, earlier - later)
-    want = amps[..., :d, :d, 0].reshape(d * d, d * d).T
+    want = reference_evolve_back(amps, spectrum, 0.0, steps)[..., :d, :d, 0].reshape(d * d, d * d).T
     matrix, trap_residual, duration = iontrap_module._realized_process(steps, params, spectrum)
     assert_allclose(matrix, want, rtol=0, atol=1e-13)
     report = verify_hybrid_gate(
@@ -968,7 +1015,7 @@ def test_one_detuning_solve_and_one_aux_map_per_distinct_value(monkeypatch, d):
     assert len(solves) == len(set(solves)) == len(phases) == {3: 3, 6: 12}[d]
     for phi, detuning in zip(hybrid_phase_targets(d, 1).ravel(), steps.detunings[2::5]):
         assert detuning == solve(float(phi), params.omega_ge)
-    execute_schedule(JointIonState.hybrid_basis(d, 1, 2), steps, params, spectrum)
+    execute_schedule(hybrid_basis(d, 1, 2), steps, params, spectrum)
     assert sorted(aux_maps) == sorted(set(steps.detunings[2::5].tolist()))
 
 
@@ -993,7 +1040,7 @@ def test_pi_maps_are_the_pulse_layers_resonant_map(d, truncation):
     pi_map = resonant_pulse_map(math.pi).ravel()
     for steps in (gate, hand):
         maps, _, _ = iontrap_module._pulse_maps(steps, 0.0, params, spectrum)
-        frames = iontrap_module._frame_phases(spectrum, steps.times)
+        frames = spectrum._free_phases(-steps.times)
         for row, kind, level, frame in zip(maps, steps.kinds, steps.levels, frames):
             if kind == PULSE_KINDS.index("packet_swap"):
                 assert row[2:6].tobytes() == pi_map.tobytes()
@@ -1015,8 +1062,8 @@ def one_ion_state(d, level_amps, packet_amps):
 @pytest.mark.parametrize("truncation", ["kepler", "revival"])
 @pytest.mark.parametrize("periods", [-3.7, 0.4, 11.0])
 def test_free_evolve_joint_takes_the_wavepacket_phase(d, truncation, periods):
-    # one rounded phase rule for both layers: control levels pick up the energy-basis phases bit for bit,
-    # target packets the wave-packet evolution up to how a GEMM and a matvec round
+    # one phase rule for both layers, the exactly reduced one: control levels pick up the energy-basis
+    # phases bit for bit, target packets the wave-packet evolution up to how a GEMM and a matvec round
     spectrum = trap_spectrum(d, truncation)
     dt = periods * spectrum.t_kepler
     rng = np.random.default_rng([d, len(truncation)])
@@ -1028,6 +1075,61 @@ def test_free_evolve_joint_takes_the_wavepacket_phase(d, truncation, periods):
     assert_allclose(packets.amps[d, :d, 0], want, rtol=0, atol=1e-15)
     for out in (levels, packets):
         assert out.t == dt
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 12])
+@pytest.mark.parametrize("truncation", ["kepler", "revival"])
+@pytest.mark.parametrize("periods", [0.37, 11.0, 1e6, None])
+def test_executor_free_evolution_is_free_evolve_joints_to_the_bit(d, truncation, periods):
+    # one auxiliary drive at T leaves a band-populated state to free evolution alone: the executor's frame
+    # and free_evolve_joint read the same phases, so they agree bit for bit (periods None: T = 3e9)
+    spectrum = trap_spectrum(d, truncation)
+    t = 3e9 if periods is None else periods * spectrum.t_kepler
+    rng = np.random.default_rng([d, len(truncation)])
+    amps = np.zeros((d + 1, d + 2, 2), dtype=np.complex128)
+    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    amps[:d, :d, 0] = raw / np.linalg.norm(raw)
+    state = JointIonState(d, amps)
+    out = execute_schedule(state, pulses(("aux", t, -1, 3.0, 2)), TrapParams(), spectrum)
+    want = free_evolve_joint(state, spectrum, t)
+    assert out.t == want.t == t
+    assert out.amps.tobytes() == want.amps.tobytes()
+
+
+def test_free_evolution_past_its_domain_is_refused_naming_the_time():
+    # the split of dt overflows from ~1.339e300 on, and w_j * dt may overflow before: a ValueError names dt
+    d = 3
+    fast = RydbergSpectrum(1e-3, d)  # w_j ~ 1e9
+    state, vector = hybrid_basis(d, 1, 1), AmplitudeVector("wavepacket", np.eye(d)[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spectrum, dt in ((RydbergSpectrum(2, d), 1e301), (RydbergSpectrum(2, d), -1e301), (fast, 1e300)):
+            message = f"free evolution needs .* finite, got dt = {re.escape(repr(dt))}$"
+            with pytest.raises(ValueError, match=message):
+                free_evolve(vector, spectrum, dt)
+            with pytest.raises(ValueError, match=message):
+                free_evolve(vector, spectrum, np.array([0.0, 1.0, dt]))
+            with pytest.raises(ValueError, match=message):
+                free_evolve_joint(state, spectrum, dt)
+        # a level frequency past the split's reach is refused at any time
+        with pytest.raises(ValueError, match="every \\|w_j\\| below 1.339e\\+300"):
+            free_evolve(vector, RydbergSpectrum(1e-102, d), 0.0)
+        assert np.isfinite(free_evolve_joint(state, RydbergSpectrum(2, d), 1e300).amps).all()
+        assert np.isfinite(free_evolve_joint(state, fast, 1e290).amps).all()
+
+
+def test_schedule_columns_past_int64_are_refused_with_the_value_given():
+    # the range is checked before the int64 cast, which would wrap a uint64 and cannot take a larger int
+    for column, value in ((np.array([2**63], dtype=np.uint64), 2**63), ([2**64], 2**64), ([-(2**64)], -(2**64))):
+        with pytest.raises(ValueError, match=f"^multiplicities must be ints within int64, got {value}$"):
+            PulseSchedule([2], [0.0], [-1], [0.0], column)
+        with pytest.raises(ValueError, match=f"^levels must be ints within int64, got {value}$"):
+            PulseSchedule([1], [0.0], column, [0.0], [1])
+    # a list whose ints numpy would make floats is read as ints too
+    with pytest.raises(ValueError, match=f"^levels must be ints within int64, got {2**63}$"):
+        PulseSchedule([1, 1], [0.0, 1.0], [-1, 2**63], [0.0, 0.0], [1, 1])
+    big = PulseSchedule([2], [0.0], [-1], [0.0], np.array([2**32], dtype=np.uint64))
+    assert big.multiplicities.dtype == np.int64 and big.multiplicities.tolist() == [2**32]
 
 
 def test_hand_built_schedule_takes_the_multiplicity_bound():
@@ -1042,7 +1144,7 @@ def test_hand_built_schedule_takes_the_multiplicity_bound():
     amps[d, d, 1] = 1.0
     out = execute_schedule(JointIonState(d, amps), PulseSchedule([2], [0.0], [-1], [0.0], [2**32]), TrapParams(),
                            RydbergSpectrum(2, d))
-    assert out.aux_population() <= 1e-11
+    assert aux_population(out) <= 1e-11
 
 
 def test_gate_time_names_the_largest_taylor_term_and_n_bar_on_a_tie():

@@ -30,7 +30,9 @@ def _atom_state(s):
 
 def _joint_stack(s):
     # four unit basis states, one of them scaled by s: the worst state decides
-    amps = np.stack([JointIonState.hybrid_basis(2, j, k).amps for j in range(2) for k in range(2)])
+    amps = np.zeros((4, 3, 4, 2), dtype=np.complex128)
+    for n, (j, k) in enumerate(np.ndindex(2, 2)):
+        amps[n, j, k, 0] = 1.0
     amps[1] *= s
     return JointIonState(2, amps)
 

@@ -26,6 +26,11 @@ from quditfft.pulses import PULSE_SHAPES, _resolve_steps
 from quditfft.wavepacket import ENERGY, KEPLER, REVIVAL, WAVEPACKET
 
 
+def core_packet(d):
+    """All population in packet slot 0, none in the ground state."""
+    return AtomState(0.0, AmplitudeVector(WAVEPACKET, np.eye(d)[0]))
+
+
 def test_pulse_profile_validation():
     with pytest.raises(ValueError):
         PulseProfile(0.0, math.pi)
@@ -103,7 +108,7 @@ def test_atom_state_contracts():
     assert state.d == 3
     assert_allclose(state.norm(), 1.0)
     state.require_normalized()
-    core = AtomState.core_packet(3)
+    core = core_packet(3)
     assert core.b_g == 0.0
     assert_allclose(core.wp.amps, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
@@ -149,14 +154,14 @@ def test_two_level_general_area_and_frozen_slots():
 
 def test_zero_area_pulse_is_identity():
     coup = RabiCouplings.uniform(3)
-    state = AtomState.core_packet(3)
+    state = core_packet(3)
     out = integrate_two_level(state, PulseProfile(1.0, 0.0), coup)
     assert_allclose([out.b_g, out.wp.amps[0]], [0.0, 1.0], atol=1e-12)
 
 
 def test_two_pi_pulse_flips_sign():
     coup = RabiCouplings.uniform(3)
-    out = integrate_two_level(AtomState.core_packet(3), PulseProfile(1.0, 2.0 * math.pi), coup)
+    out = integrate_two_level(core_packet(3), PulseProfile(1.0, 2.0 * math.pi), coup)
     assert_allclose(out.wp.amps[0], -1.0, atol=1e-8)
     assert abs(out.b_g) < 1e-8
 
@@ -217,7 +222,7 @@ def test_integrate_full_impulsive_limit_matches_two_level():
     coup = RabiCouplings.uniform(d)
     duration = 1e-5 * spectrum.t_kepler
     pulse = PulseProfile(duration, math.pi)
-    state = AtomState.core_packet(d)
+    state = core_packet(d)
     full = integrate_full(state, pulse, coup, spectrum)
     two = integrate_two_level(state, pulse, coup)
     # the band drift during the pulse scales linearly with its duration
@@ -607,7 +612,7 @@ def _packet_basis_leakage(spectrum, pulse, coup, n_steps=None):
     """Oracle: the same leakage by way of the packet basis. The core packet in slot 0 free-evolves back
     by T/2 there, runs through integrate_full, and meets the closed-form resonant map or, detuned, the
     two-level integrator fired at the pulse center."""
-    core = AtomState.core_packet(spectrum.d)
+    core = core_packet(spectrum.d)
     start = AtomState(0.0, free_evolve(core.wp, spectrum, -pulse.duration / 2.0))
     full = integrate_full(start, pulse, coup, spectrum, n_steps=n_steps)
     if pulse.center_detuning == 0.0:

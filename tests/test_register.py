@@ -8,7 +8,6 @@ from quditfft import (
     ContractError,
     QuditState,
     RegisterShape,
-    basis_state,
     dit_reversal_permutation,
     fourier_gate_matrix,
     measure_register,
@@ -16,6 +15,13 @@ from quditfft import (
 )
 from quditfft.constants import DEFAULT_MAX_AMPS, MAX_AMPS_ENV
 from quditfft.register import dft_kernel, dft_table
+
+
+def basis_state(a, shape):
+    """Computational basis state |a> as a dense statevector."""
+    if not 0 <= a < shape.n_amps:
+        raise ValueError(f"basis index {a} out of range for {shape.n_amps} amplitudes")
+    return QuditState(shape, np.eye(shape.n_amps)[a])
 
 
 def reversed_digits_value(a, d, q):

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,7 +226,7 @@ def test_cached_adjoint_is_read_only_and_bit_equal_to_a_fresh_conjugate(d):
     packet = change_basis(AmplitudeVector(ENERGY, x), WAVEPACKET).amps
     assert np.array_equal(packet.view(np.int64), (fresh @ x).view(np.int64))
     spectrum = RydbergSpectrum(3, d, t_rev=40.0 * d, truncation=REVIVAL)
-    phases = np.exp(-1j * spectrum.frequency_offsets() * 17.5)
+    phases = spectrum._free_phases(17.5)
     moved = free_evolve(AmplitudeVector(WAVEPACKET, x), spectrum, 17.5).amps
     assert np.array_equal(moved.view(np.int64), (fresh @ (phases * (u @ x))[..., None])[..., 0].view(np.int64))
 
@@ -250,6 +252,29 @@ def test_free_evolution_composes():
     once = free_evolve(v, spectrum, 12.0)
     twice = free_evolve(free_evolve(v, spectrum, 5.0), spectrum, 7.0)
     assert_allclose(once.amps, twice.amps, atol=1e-13)
+
+
+# π to 60 digits: across 1.6e13 turns (|ω_j·dt| = 1e14) it carries an error of about 1e-46 rad
+PI_60 = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+@pytest.mark.parametrize("truncation", [KEPLER, REVIVAL, SUPER_REVIVAL])
+def test_free_phases_meet_an_exact_rational_oracle(truncation):
+    # the oracle reduces ω_j·dt mod 2π in exact rationals from the two floats; the rule must stay within
+    # 1e-15 rad for |ω_j·dt| up to 1e14, on both signs of dt (a rounded product is 8e-13 rad off at 1e4)
+    spectrum = RydbergSpectrum(3, 7, t_rev=40.0, t_sr=900.0, truncation=truncation)
+    w = spectrum.frequency_offsets()
+    rng = np.random.default_rng(len(truncation))
+    worst = 0.0
+    for decade in range(-3, 14):
+        for sign in (1.0, -1.0):
+            for mantissa in rng.uniform(1.0, 10.0, size=3):
+                dt = sign * mantissa * 10.0**decade / np.abs(w).max()
+                for wj, phase in zip(w, spectrum._free_phases(dt)):
+                    x = Fraction(float(wj)) * Fraction(dt)
+                    exact = float(x - round(x / (2 * PI_60)) * (2 * PI_60))
+                    worst = max(worst, abs(np.angle(phase * complex(math.cos(exact), math.sin(exact)))))
+    assert worst <= 1e-15
 
 
 def test_dispersion_fidelity_revival_structure():
