@@ -67,9 +67,15 @@ EXHAUSTIVE_LIMIT = 4096
 # stages) and 22.4 vs 19.9 ms at d=3, q=12 (27 levels), 2-vCPU host.
 _STAGE_LEVELS = 16
 
-# Entries per block of verified columns: the fft bench's verify shapes took 302 / 224 /
-# 211 / 206 / 227 / 278 ms at 2**12 ... 2**18, (6, 6) 453-479 ms from 2**14 up (2 vCPUs).
+# Entries per block of verified columns. The block size sets which operand numpy's
+# temporary elision puts first in the phase product (see _compare_columns), so a new
+# size can move the last bit of max_phase_err.
 _VERIFY_BLOCK = 2**16
+
+# An entry whose |Im|/Re lies below (1 - _PHASE_MARGIN) times the largest ratio cannot
+# hold the largest angle: for ratios up to 1 the angle arctan(|Im|/Re) keeps at least
+# half of a ratio's relative gap, and arctan2 errs by a few ulps (~1e-15), a billionth of it.
+_PHASE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -213,14 +219,20 @@ class SequencePlan:
             t = _matmul_rows(t.reshape(levels, -1).T, kernel)
         return t.reshape(arr.shape[1:] + (self.shape.n_amps,))
 
-    def run_basis(self, inputs: np.ndarray) -> np.ndarray:
+    def run_basis(self, inputs: np.ndarray, zeros: np.ndarray | None = None) -> np.ndarray:
         """``run`` on the one-hot columns of ``inputs``: the same (B, N) rows, bit for bit.
 
         Until a stage contracts a_hi ... a_lo, column a is zero off j = (a // d**lo) % d**k,
         so only its outputs so far, u, are carried: twiddled by rows tw[j], then fed to the
         GEMM one-hot at j, as u ⊗ K[j] would not round through FMA as the GEMM does.
+        The one-hot rows are scattered into ``zeros``, a zeroed complex buffer of at least
+        B·N entries (a fresh one when None); each stage zeroes again only what it
+        scattered, so the buffer comes back all zero and can serve the next call.
         """
+        if zeros is None:
+            zeros = np.zeros(len(inputs) * self.shape.n_amps, dtype=np.complex128)
         u = np.ones((len(inputs), 1), dtype=np.complex128)
+        b = np.arange(len(inputs))
         weight = self.shape.n_amps
         for kernel, tables in zip(self.kernels, self.twiddles):
             levels = len(kernel)
@@ -228,9 +240,10 @@ class SequencePlan:
             j = inputs // weight % levels
             if tables:
                 u = u * _twiddle(tuple(table[j] for table in tables))
-            rows = np.zeros(u.shape + (levels,), dtype=np.complex128)
-            rows[np.arange(len(u)), :, j] = u
+            rows = zeros[: u.size * levels].reshape(u.shape + (levels,))
+            rows[b, :, j] = u
             u = _matmul_rows(rows.reshape(-1, levels), kernel).reshape(len(u), -1)
+            rows[b, :, j] = 0
         return u
 
 
@@ -313,6 +326,7 @@ def compile_sequence(sequence: GateSequence) -> SequencePlan:
     """
     d, q = sequence.shape.d, sequence.shape.q
     factors: dict[tuple[int, int], np.ndarray] = {}
+    spans: dict[int, np.ndarray] = {}  # one phase table per span, shared by its gates
     next_fourier = q - 1  # Fourier gates above this qudit have fired
     for gate in sequence.gates:
         if gate.m >= q:
@@ -330,8 +344,10 @@ def compile_sequence(sequence: GateSequence) -> SequencePlan:
                 f"gate on qudit {gate.m} and before the one on qudit {gate.l}"
             )
         else:
-            key = (gate.l, gate.m)
-            table = phase_gate_table(d, gate.m - gate.l)
+            key, span = (gate.l, gate.m), gate.m - gate.l
+            table = spans.get(span)
+            if table is None:
+                table = spans[span] = phase_gate_table(d, span)
             factors[key] = factors[key] * table if key in factors else table
     if next_fourier >= 0:
         raise ValueError(
@@ -409,11 +425,30 @@ class EquivalenceReport:
     passed: bool
 
 
+def _max_abs_angle(rel: np.ndarray, scratch: np.ndarray) -> float:
+    """max |arctan2(rel.imag, rel.real)|, bit for bit, with arctan2 run on few entries.
+
+    Where every Re > 0, the angle is arctan(|Im|/Re), which rises with the ratio, so
+    arctan2 runs only on the entries within _PHASE_MARGIN of the largest ratio. It runs
+    on all of them when some Re is <= 0 or NaN, or the largest ratio is above 1, NaN or
+    so small that its division underflowed. An Re of +inf has ratio 0 and angle 0, so
+    it cannot hold the maximum. ``scratch`` is a real array of rel's shape.
+    """
+    if rel.real.min() > 0:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf / inf, or past the float range
+            ratio = np.divide(np.abs(rel.imag, out=scratch), rel.real, out=scratch)
+        top = ratio.max()
+        if np.finfo(float).tiny / _PHASE_MARGIN <= top <= 1:
+            rel = rel[ratio >= top * (1 - _PHASE_MARGIN)]
+    return float(np.abs(np.arctan2(rel.imag, rel.real)).max())
+
+
 def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, float, float]:
     """Max entry/modulus/phase error of reversed-readout sequence columns vs kernel.
 
     Columns come from the input-pruned :meth:`SequencePlan.run_basis`; its GEMM rows stay
     one-hot because a product with kernel rows would round differently from the dense run.
+    A NaN anywhere makes the error it enters NaN.
     """
     n = plan.shape.n_amps
     # Output column c holds DFT entry perm[c] (perm is an involution), so the
@@ -423,16 +458,21 @@ def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, flo
     # same values dft_kernel would give, without a per-chunk exponential.
     table = dft_table(n)
     moduli = np.abs(table)
-    max_entry = max_mod = max_phase = 0.0
+    maxima = np.zeros(3)  # entry, modulus, phase; np.maximum keeps a NaN
     chunk = max(1, min(len(inputs), _VERIFY_BLOCK // n))
-    # Two scratch buffers serve every chunk: the kernel entries, later the
-    # complex error terms, and the real error terms.
+    # Four buffers serve every chunk: the kernel entries, later the complex
+    # error terms; the real error terms; the table indices; and run_basis's
+    # one-hot rows. Fresh (B, N) arrays per chunk would leave glibc's heap top
+    # to be trimmed and faulted in again: one sampled (6, 6) check in a fresh
+    # process took 25.8k minor faults with a fresh index array, 2.2k without.
     want_buf = np.empty((chunk, n), dtype=np.complex128)
     err_buf = np.empty((chunk, n))
+    idx_buf = np.empty((chunk, n), dtype=np.int64)
+    zeros = np.zeros(chunk * n, dtype=np.complex128)
     for start in range(0, len(inputs), chunk):
         batch = inputs[start : start + chunk]
-        got = plan.run_basis(batch)
-        idx = dft_exponents(n, batch, cols)
+        got = plan.run_basis(batch, zeros)
+        idx = dft_exponents(n, batch, cols, out=idx_buf[: len(batch)])
         want, err = want_buf[: len(batch)], err_buf[: len(batch)]
         # idx is already reduced mod n, so "clip" never acts; it spares the
         # copy that take makes of ``out`` under the default bounds check
@@ -440,17 +480,15 @@ def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, flo
         # phase: angle(got · conj(want)) = arctan2 of its parts. The product
         # keeps its one temporary: for large chunks numpy reuses the conj
         # array and swaps the factors, which moves the last bit.
-        rel = got * np.conj(want)
-        np.arctan2(rel.imag, rel.real, out=err)
-        del rel
-        max_phase = max(max_phase, float(np.abs(err, out=err).max()))
+        phase = _max_abs_angle(got * np.conj(want), err)
         # entry: |got - want|
         np.subtract(got, want, out=want)
-        max_entry = max(max_entry, float(np.abs(want, out=err).max()))
+        entry = np.abs(want, out=err).max()
         # modulus: |got| (into the real parts of the now free want) - |want|
         np.abs(got, out=want.real)
         np.subtract(want.real, np.take(moduli, idx, out=err, mode="clip"), out=err)
-        max_mod = max(max_mod, float(np.abs(err, out=err).max()))
+        np.maximum(maxima, (entry, np.abs(err, out=err).max(), phase), out=maxima)
+    max_entry, max_mod, max_phase = maxima.tolist()
     return max_entry, max_mod, max_phase
 
 

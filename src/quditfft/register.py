@@ -86,10 +86,19 @@ def dft_table(n: int, sign: int = 1) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * np.arange(n) / n) / np.sqrt(n)
 
 
-def dft_exponents(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Index (r·c) mod n into :func:`dft_table` of kernel entry (r, c), for r in rows, c in cols."""
-    idx = np.asarray(rows)[:, None] * np.asarray(cols)[None, :]
-    # in place: a fresh result array of this size costs more than the remainder
+def dft_exponents(
+    n: int, rows: np.ndarray, cols: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Index (r·c) mod n into :func:`dft_table` of kernel entry (r, c), for r in rows, c in cols.
+
+    ``out``, an int64 array of shape (len(rows), len(cols)), receives the result when given.
+    """
+    idx = np.multiply(np.asarray(rows)[:, None], np.asarray(cols)[None, :], out=out)
+    # in place: a fresh result array of this size costs more than the remainder.
+    # For n = 2**k the mask gives the same floor remainder (two's complement),
+    # at about a tenth of its cost.
+    if n & (n - 1) == 0:
+        return np.bitwise_and(idx, n - 1, out=idx)
     return np.remainder(idx, n, out=idx)
 
 

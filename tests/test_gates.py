@@ -344,10 +344,10 @@ def test_accumulated_phase_matches_per_gate_fraction_fold(d, q):
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
-def _per_entry_exp_errors(shape, inputs):
+def _per_entry_exp_errors(shape, inputs, sequence=None):
     """Reference for _compare_columns: the kernel evaluated entry by entry with exp."""
     n = shape.n_amps
-    plan = compile_sequence(build_fft_sequence(shape))
+    plan = compile_sequence(sequence or build_fft_sequence(shape))
     cols = dit_reversal_permutation(shape)
     max_entry = max_mod = max_phase = 0.0
     chunk = max(1, min(len(inputs), BATCH_BUDGET // n))
@@ -454,3 +454,156 @@ def test_verify_fft_equivalence_reports_a_wrong_sequence_once(monkeypatch):
     assert report.passed is False
     assert report.order == "as-written"
     assert len(calls) == 1
+
+
+def _same_float(a, b):
+    return (np.isnan(a) and np.isnan(b)) or float(a).hex() == float(b).hex()
+
+
+def _phase_cases():
+    """Products got · conj(want) for the phase maximum, keyed by what each one exercises."""
+    rng = np.random.default_rng(27)
+    n = 256
+    # a working check: Re near 1/N, angles of rounding size
+    typical = (1 + rng.normal(scale=1e-15, size=(4, n))) / n * np.exp(1j * rng.normal(scale=3e-16, size=(4, n)))
+    cases = {"typical": typical, "imag all zero": typical.real + 0j, "imag all -0.0": typical.real - 0j}
+    for name, entry in [
+        ("real -0.0", complex(-0.0, 0.0)),
+        ("real -0.0, imag > 0", complex(-0.0, 1e-300)),
+        ("real +0.0", complex(0.0, 0.0)),
+        ("real +0.0, imag < 0", complex(0.0, -1e-300)),
+        ("real < 0", complex(-1e-3, 1e-20)),
+        ("real < 0, imag 0", complex(-5e-324, 0.0)),
+        ("ratio above 1", complex(1e-3, 2e-3)),
+        ("ratio exactly 1", complex(1e-3, -1e-3)),
+        ("nan real", complex(np.nan, 1e-18)),
+        ("nan imag", complex(1.0 / n, np.nan)),
+        ("+inf real", complex(np.inf, 1e-18)),
+        ("+inf real and imag", complex(np.inf, np.inf)),
+        ("-inf real", complex(-np.inf, 0.0)),
+        ("inf imag", complex(1.0 / n, -np.inf)),
+        ("subnormal real", complex(5e-324, 1e-300)),
+        ("ratio past the float range", complex(1e-300, 1e300)),
+        ("subnormal imag", complex(1.0 / n, 5e-324)),
+    ]:
+        rel = typical.copy()
+        rel[2, 100] = entry
+        cases[name] = rel
+    # ratios one ulp apart at the top, exact ties, and ratios on both sides of the margin
+    top = 1e-3
+    ulps = top * (1 - np.arange(64) * 2.0**-52)
+    edge = top * (1 - gates_module._PHASE_MARGIN) * (1 + np.arange(-32, 32) * 2.0**-52)
+    cases["near ties"] = (1 + 1j * np.concatenate([ulps, ulps[::-1], edge, -edge])).reshape(4, -1)
+    # every ratio subnormal, or every ratio at most the smallest normal over the margin
+    cases["subnormal ratios"] = 1.0 / n + 1j * rng.integers(1, 2**20, size=(4, n)) * 5e-324
+    tiny = np.finfo(float).tiny / gates_module._PHASE_MARGIN
+    for name, scale in [("largest ratio just below the underflow bound", 0.999), ("just above it", 1.001)]:
+        cases[name] = 1 + 1j * tiny * scale * rng.uniform(0.5, 1.0, size=(4, n))
+    cases["subnormal real parts"] = rng.integers(1, 100, size=(4, n)) * 5e-324 + 1j * 0.0
+    return cases
+
+
+_PHASE_CASES = _phase_cases()
+
+
+@pytest.mark.parametrize("name", list(_PHASE_CASES))
+def test_phase_max_is_the_plain_arctan2_max(name):
+    rel = _PHASE_CASES[name]
+    got = gates_module._max_abs_angle(rel.copy(), np.empty(rel.shape))
+    assert _same_float(got, np.abs(np.arctan2(rel.imag, rel.real)).max())
+
+
+def test_phase_max_of_no_entries_is_refused_as_before():
+    rel = np.empty((0, 8), dtype=np.complex128)
+    with pytest.raises(ValueError, match="zero-size"):
+        np.abs(np.arctan2(rel.imag, rel.real)).max()
+    with pytest.raises(ValueError, match="zero-size"):
+        gates_module._max_abs_angle(rel, np.empty(rel.shape))
+
+
+def test_phase_max_runs_arctan2_on_the_candidates_only(monkeypatch):
+    rel = _PHASE_CASES["typical"]
+    sizes = []
+    arctan2 = np.arctan2
+
+    def counting_arctan2(y, x, *args, **kwargs):
+        sizes.append(np.size(y))
+        return arctan2(y, x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arctan2", counting_arctan2)
+    gates_module._max_abs_angle(rel, np.empty(rel.shape))
+    assert len(sizes) == 1 and sizes[0] < rel.size // 16
+
+
+def _drop_first_phase_gate(sequence):
+    first_phase = next(i for i, g in enumerate(sequence.gates) if g.kind == "phase")
+    return GateSequence(sequence.shape, sequence.gates[:first_phase] + sequence.gates[first_phase + 1 :])
+
+
+@pytest.mark.parametrize("d,q,n_samples", [(2, 4, None), (3, 3, None), (5, 4, None), (2, 13, 32)])
+def test_wrong_sequence_errors_are_the_dense_oracle(d, q, n_samples):
+    # large angles take the full arctan2 pass, which the right sequence never needs
+    shape = RegisterShape(d, q)
+    wrong = _drop_first_phase_gate(build_fft_sequence(shape))
+    n = shape.n_amps
+    inputs = np.arange(n) if n_samples is None else np.random.default_rng(9).choice(n, n_samples, replace=False)
+    errors = gates_module._compare_columns(compile_sequence(wrong), inputs)
+    assert errors == _per_entry_exp_errors(shape, inputs, wrong)
+    assert errors[2] > 1.0
+
+
+@pytest.mark.parametrize("d,q,n_samples", [(5, 4, None), (2, 17, 3)])
+def test_run_basis_with_a_reused_buffer_is_a_fresh_run(d, q, n_samples):
+    # (5, 4) runs 104-column chunks and a short last one; (2, 17) one-column chunks
+    shape = RegisterShape(d, q)
+    plan = compile_sequence(build_fft_sequence(shape))
+    n = shape.n_amps
+    chunk = max(1, gates_module._VERIFY_BLOCK // n)
+    inputs = np.arange(n) if n_samples is None else np.random.default_rng(5).choice(n, n_samples, replace=False)
+    zeros = np.zeros(chunk * n, dtype=np.complex128)
+    for start in range(0, len(inputs), chunk):
+        batch = inputs[start : start + chunk]
+        got = plan.run_basis(batch, zeros)
+        np.testing.assert_array_equal(got.view(np.int64), plan.run_basis(batch).view(np.int64))
+        assert not zeros.view(np.int64).any()
+
+
+def _errors_of_chunks(shape, chunks):
+    """Per-entry exp reference for recorded (inputs, rows) chunks; a NaN carries to the maximum."""
+    n = shape.n_amps
+    cols = dit_reversal_permutation(shape)
+    errors = []
+    for batch, got in chunks:
+        want = np.exp(2j * np.pi * ((batch[:, None] * cols[None, :]) % n) / n) / np.sqrt(n)
+        errors.append([
+            np.abs(got - want).max(),
+            np.abs(np.abs(got) - np.abs(want)).max(),
+            np.abs(np.angle(got * np.conj(want))).max(),
+        ])
+    return np.max(errors, axis=0).tolist()
+
+
+@pytest.mark.parametrize("value", [np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf)])
+def test_a_non_finite_entry_in_a_middle_chunk_fails_verification(monkeypatch, value):
+    shape = RegisterShape(2, 10)  # 16 chunks of 64 columns
+    chunks = []
+    run_basis = gates_module.SequencePlan.run_basis
+
+    def poisoned_run_basis(self, inputs, *args):
+        rows = run_basis(self, inputs, *args)
+        if len(chunks) == 5:
+            rows[3, 17] = value
+        chunks.append((inputs, rows.copy()))
+        return rows
+
+    monkeypatch.setattr(gates_module.SequencePlan, "run_basis", poisoned_run_basis)
+    report = verify_fft_equivalence(shape)
+    assert len(chunks) == 16
+    assert report.passed is False
+    errors = [report.max_entry_err, report.max_mod_err, report.max_phase_err]
+    assert all(_same_float(a, b) for a, b in zip(errors, _errors_of_chunks(shape, chunks)))
+    if np.isnan(value):
+        assert np.isnan(errors).all()
+    else:
+        assert errors[:2] == [np.inf, np.inf]
+        assert not errors[2] < report.tol

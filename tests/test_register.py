@@ -14,7 +14,7 @@ from quditfft import (
     wavepacket_basis_matrix,
 )
 from quditfft.constants import DEFAULT_MAX_AMPS, MAX_AMPS_ENV
-from quditfft.register import dft_kernel, dft_table
+from quditfft.register import dft_exponents, dft_kernel, dft_table
 
 
 def basis_state(a, shape):
@@ -164,3 +164,19 @@ def test_dft_kernel_blocks_gather_from_one_table():
     assert_allclose(dft_table(n, -1), dft_table(n).conj(), rtol=0, atol=1e-16)
     with pytest.raises(ValueError):
         dft_table(n, 2)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(1, 21)] + [3, 6, 12, 100, 625, 46656, 531441, 1000003])
+def test_dft_exponents_is_the_plain_remainder(n):
+    # powers of two take a mask; it must give np.remainder's floor remainder bit
+    # for bit, negative products and products that wrap int64 included
+    rng = np.random.default_rng(n)
+    rows = np.concatenate([np.arange(4), [n - 1, n, -1, -n - 3, 2**40, -(2**50)], rng.integers(-(2**62), 2**62, 10)])
+    cols = np.concatenate([np.arange(5), [n - 1, n + 1, -7, 2**31], rng.integers(-(2**62), 2**62, 10)])
+    want = np.remainder(rows[:, None] * cols[None, :], n)
+    got = dft_exponents(n, rows, cols)
+    assert got.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    out = np.full((len(rows), len(cols)), -5, dtype=np.int64)
+    assert dft_exponents(n, rows, cols, out=out) is out
+    np.testing.assert_array_equal(out, want)
