@@ -464,7 +464,7 @@ def _compare_columns(plan: SequencePlan, inputs: np.ndarray) -> tuple[float, flo
     # error terms; the real error terms; the table indices; and run_basis's
     # one-hot rows. Fresh (B, N) arrays per chunk would leave glibc's heap top
     # to be trimmed and faulted in again: one sampled (6, 6) check in a fresh
-    # process took 25.8k minor faults with a fresh index array, 2.2k without.
+    # process took 25.8k minor faults with a fresh index array, 2.2k-2.6k without.
     want_buf = np.empty((chunk, n), dtype=np.complex128)
     err_buf = np.empty((chunk, n))
     idx_buf = np.empty((chunk, n), dtype=np.int64)
