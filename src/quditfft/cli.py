@@ -133,6 +133,12 @@ class RunConfig:
             RegisterShape(self.d, self.trap_q)  # trap_q >= q, so this caps the gate register too
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
+        try:  # the pulse the pulse runner fires at the chosen duration
+            PulseProfile(self.pulse_duration_ratio * spectrum.t_kepler, self.pulse_area, self.pulse_shape)
+        except ValueError as exc:
+            raise ConfigurationError(f"pulse_duration_ratio must be such that the pulse at pulse_area = "
+                                     f"{self.pulse_area} has a finite duration and drive, got "
+                                     f"{self.pulse_duration_ratio} ({exc})") from exc
 
 
 def _config_from_sources(args: argparse.Namespace) -> RunConfig:
@@ -160,17 +166,16 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
 
 
 def _spectrum_from(cfg: RunConfig) -> RydbergSpectrum:
-    # the Kepler-only spectrum checks n̄ before its period scales the ratios
+    # the Kepler-only spectrum checks n̄ before its period scales the ratios, each named by its field
     t_kepler = RydbergSpectrum(cfg.n_bar, cfg.d).t_kepler
-    t_rev = cfg.t_rev_ratio * t_kepler if cfg.t_rev_ratio is not None else None
-    t_sr = cfg.t_sr_ratio * t_kepler if cfg.t_sr_ratio is not None else None
-    return RydbergSpectrum(
-        n_bar=cfg.n_bar,
-        d=cfg.d,
-        t_rev=t_rev,
-        t_sr=t_sr,
-        truncation=cfg.truncation,
-    )
+    times = {}
+    for name in ("t_rev", "t_sr"):
+        ratio = getattr(cfg, f"{name}_ratio")
+        if ratio is not None:
+            times[name] = ratio * t_kepler
+            if not 0 < times[name] < math.inf:
+                raise ConfigurationError(f"{name}_ratio must be positive, with {name}_ratio·T_K finite, got {ratio}")
+    return RydbergSpectrum(n_bar=cfg.n_bar, d=cfg.d, truncation=cfg.truncation, **times)
 
 
 def _run_qft(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
@@ -317,7 +322,7 @@ def render_report(cfg: RunConfig, results: dict, passed: bool) -> str:
         "results": results,
         "passed": passed,
     }
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_csv(fh: TextIO, rows: list[dict]) -> None:

@@ -105,10 +105,13 @@ class TrapParams:
     omega_ge: float = 50.0
 
     def __post_init__(self) -> None:
-        # the auxiliary map squares omega_ge, so its square must be finite too (omega_ge below ~1.34e154)
+        # the auxiliary map squares omega_ge, so its square must be finite too (omega_ge below ~1.34e154), and
+        # a drive lasts 2 pi p / omega_ge, finite up to the multiplicity bound (omega_ge from ~1.5e-298)
         omega = float(self.omega_ge)
-        if not (omega > 0 and math.isfinite(omega * omega)):
-            raise ValueError(f"omega_ge must be positive and finite, with a finite square, got {self.omega_ge}")
+        longest_drive = 2.0 * math.pi * _MAX_MULTIPLICITY / omega if omega > 0 else math.inf
+        if not (math.isfinite(omega * omega) and longest_drive < math.inf):
+            raise ValueError(f"omega_ge must be positive and finite, with a finite square and a finite drive time "
+                             f"2π·2**32 / omega_ge, got {self.omega_ge}")
 
 
 @dataclass(frozen=True)

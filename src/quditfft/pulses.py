@@ -19,10 +19,12 @@ Both models share one propagator. A square pulse is exact: its generator is
 constant in the frame rotating at the carrier detuning, so one eigh gives the
 map. So is a resonant two-level pulse of any envelope, whose generator is
 kappa(t) H0 for a constant H0 (the pulse-area theorem). Any other pulse, or
-a call given ``n_steps``, runs fixed-step RK4 (capped at MAX_RK4_STEPS),
-sampling the drive once per block of steps. A column stack of durations
-takes one batched eigh or one RK4 loop, and a one-column stack is the lone
-call.
+a call given ``n_steps``, runs fixed-step RK4 (capped at MAX_RK4_STEPS) on
+the linear equations y' = A(t) y, sampling the drive once per block of steps
+into a stack of generators A(t), so that each right-hand side is one matrix
+product. The propagator maps column stacks only: a lone pulse is a one-column
+stack, a stack of durations takes one batched eigh or one RK4 loop, and each
+column rounds as its own call.
 
 Couplings are stated per level. The collective Rabi frequency of the core
 packet is (1/sqrt(d)) * sum_j omega_gj, the coherent enhancement of driving
@@ -82,6 +84,11 @@ class PulseProfile:
             raise ValueError(f"pulse duration must be positive, got {self.duration}")
         if self.shape not in PULSE_SHAPES:
             raise ValueError(f"shape must be one of {PULSE_SHAPES}, got {self.shape!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a gaussian's sigma = duration / 6 may round to 0
+            peak = float(self.rabi(self.duration / 2.0)) if self.duration / 6.0 > 0.0 else math.inf
+        if not math.isfinite(peak):  # area / duration, or the gaussian's 2.4x higher crest, overflowed
+            raise ValueError(f"pulse drive area * envelope must be finite, got a peak of {peak} for area "
+                             f"{self.area} over duration {self.duration}")
 
     def envelope(self, t: np.ndarray | float) -> np.ndarray | float:
         """Normalized envelope at time t (pulse-local, 0 outside [0, duration])."""
@@ -195,14 +202,14 @@ def resonant_pulse_map(area: float) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
 
 
-def _rk4(deriv, y: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    """``n_steps`` fixed RK4 steps of size h from y; ``deriv(j, y)`` is the
-    right-hand side at half-step j, so step i reads half-steps 2i, 2i+1, 2i+2."""
+def _rk4(gen: np.ndarray, y: np.ndarray, h: np.ndarray, n_steps: int) -> np.ndarray:
+    """``n_steps`` fixed RK4 steps of size h from y for y' = gen[j] @ y, with gen[j] the generator stack at
+    half-step j, so step i reads half-steps 2i, 2i+1, 2i+2."""
     for i in range(n_steps):
-        k1 = deriv(2 * i, y)
-        k2 = deriv(2 * i + 1, y + 0.5 * h * k1)
-        k3 = deriv(2 * i + 1, y + 0.5 * h * k2)
-        k4 = deriv(2 * i + 2, y + h * k3)
+        k1 = gen[2 * i] @ y
+        k2 = gen[2 * i + 1] @ (y + 0.5 * h * k1)
+        k3 = gen[2 * i + 1] @ (y + 0.5 * h * k2)
+        k4 = gen[2 * i + 2] @ (y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
 
@@ -231,76 +238,59 @@ def _resolve_steps(pulse: PulseProfile, n_steps: int | None, offsets: np.ndarray
     return n_steps
 
 
-def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
-               pulse: PulseProfile | list[PulseProfile], n_steps: int | None) -> np.ndarray:
-    """Map (levels..., ground) through a pulse by the equations of integrate_full.
+def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray, pulses: list[PulseProfile],
+               n_steps: int | None) -> np.ndarray:
+    """Map a (d+1, B) column stack of (levels..., ground) through B pulses by the equations of integrate_full.
 
-    ``y0`` is (d+1,) with one profile, or a (d+1, B) column stack with B
-    profiles of one shape, area and detuning; column b runs through pulse b.
-    A one-column stack is the lone call, whose RK4 steps on scalars.
+    The pulses share one shape, area and detuning, and column b runs through pulses[b]; a lone pulse is a
+    one-column stack, and every column rounds as its own one-column call.
 
     Square, or resonant on zero offsets, with no explicit step count: in the
     frame rotating at D the generator H = diag(dw + D, 0) - (kappa/2)(w e_g^T
     + e_g w^T) is real and constant, or kappa(t) times a constant (D = 0,
     dw = 0), so one eigh at kappa = area/T gives the map V exp(-i L T) V^T, and
     a resonant two-level gaussian is its square twin to the bit; the level rows
-    then return to the lab frame with exp(+i D T). A stack makes one batched
-    eigh, each column with the bits of its own call.
-    Anything else runs RK4, sampling the drive once per block of steps at the
-    half-step times as to_band = (i kappa/2) w exp(+i D t) and to_ground =
-    (i kappa/2) exp(-i D t), in that factor order; ``deriv`` indexes these
-    tables by row. On a stack the operands gain a trailing column axis, and
-    columns retire as their steps end. A stacked column can round a bit apart
-    from its own call: its ground row sums by a matrix-vector product and
-    multiplies arrays with FMA, where one vector takes a dot and two scalars.
+    then return to the lab frame with exp(+i D T). The stack makes one batched eigh.
+    Anything else runs RK4 on the linear equations y' = A(t) y. Each block of steps samples the drive
+    once per active column at its half-step times into a generator stack gen[row, col] = A(t): the
+    diagonal -i dw, the level column (i kappa/2) exp(+i D t) w and the ground row (i kappa/2)
+    exp(-i D t) w, in that factor order. Every right-hand side is then one product gen[j] @ y on the
+    (B, d+1, 1) state. Columns run longest first and retire as their steps end, and a block's
+    generator stack holds no more entries than BATCH_BUDGET or the longest column's (d+1)-wide drive
+    samples, whichever is fewer.
     """
-    if y0.ndim == 2 and y0.shape[1] == 1:
-        return _propagate(y0[:, 0], offsets, weights, pulse[0], n_steps)[:, None]
-    stack = y0.ndim == 2
-    pulses = list(pulse) if stack else [pulse]
     d, detuning = offsets.shape[0], pulses[0].center_detuning
     durations = np.array([p.duration for p in pulses])
     if n_steps is None and (pulses[0].shape == "square" or (detuning == 0.0 and not offsets.any())):
-        T = durations.reshape(y0.shape[1:])
-        h = np.zeros(T.shape + (d + 1, d + 1))
-        h[..., :d, :d] = np.diag(offsets + detuning)
-        h[..., :d, d] = h[..., d, :d] = -0.5 * (pulses[0].area / T)[..., None] * weights
+        h = np.zeros((len(pulses), d + 1, d + 1))
+        h[:, :d, :d] = np.diag(offsets + detuning)
+        h[:, :d, d] = h[:, d, :d] = -0.5 * (pulses[0].area / durations)[:, None] * weights
         vals, vecs = np.linalg.eigh(h)
         y = vecs.swapaxes(-1, -2) @ y0.T[..., None]
-        y = (vecs @ (np.exp(-1j * vals * T[..., None])[..., None] * y))[..., 0].T
-        y[:d] *= np.exp(1j * detuning * T)
+        y = (vecs @ (np.exp(-1j * vals * durations[:, None])[..., None] * y))[..., 0].T
+        y[:d] *= np.exp(1j * detuning * durations)
         return y
     steps = [_resolve_steps(p, n_steps, offsets) for p in pulses]  # every column, before any step
-    order = sorted(range(len(pulses)), key=lambda b: -steps[b])
-    col = np.s_[:, None] if stack else np.s_[:]  # a row vector against the column axis
-    if stack:  # longest first, so the active columns are a prefix
-        pulses, y, durations, n = [pulses[b] for b in order], y0[:, order], durations[order], np.array(steps)[order]
-    else:
-        y, durations, n = y0, pulse.duration, steps[0]
-    rot, w, h, a, first, out = (-1j * offsets)[col], weights[col], durations / n, len(pulses), 0, np.empty_like(y0)
-    while first < steps[order[0]]:
-        # A block's tables fit one BATCH_BUDGET and the longest column's own; no column retires inside.
-        rows = min(BATCH_BUDGET // (d + 1), 2 * steps[order[0]] + 1) // a
-        last = min(first + max(1, (rows - 1) // 2), steps[order[a - 1]])
+    order = sorted(range(len(pulses)), key=lambda b: -steps[b])  # longest first, so the active columns are a prefix
+    pulses, durations, n, y = [pulses[b] for b in order], durations[order], np.array(steps)[order], y0.T[order, :, None]
+    h, a, first, out = (durations / n)[:, None, None], len(pulses), 0, np.empty_like(y0)
+    rot, entries = np.diag(np.append(-1j * offsets, 0.0)), min(BATCH_BUDGET, (2 * n[0] + 1) * (d + 1))
+    while a:
+        rows = entries // ((d + 1) ** 2 * a)
+        last = min(first + max(1, (rows - 1) // 2), n[a - 1])  # no column retires inside a block
         # Times as exact fractions of the duration: accumulating i*h + h can
         # overshoot the window by one ulp and zero a hard edge's endpoint.
-        t = durations * (np.arange(2 * first, 2 * last + 1)[col] / (2 * n))
-        kappa = 0.5j * (np.stack([p.rabi(c) for p, c in zip(pulses, t.T)], 1) if stack else pulses[0].rabi(t))
-        to_band = kappa[:, None] * w * np.exp(+1j * detuning * t)[:, None]
-        to_ground = kappa * np.exp(-1j * detuning * t)
-
-        def deriv(j: int, y: np.ndarray) -> np.ndarray:
-            out = np.empty_like(y)
-            out[:d] = rot * y[:d] + to_band[j] * y[d]
-            out[d] = to_ground[j] * np.dot(weights, y[:d])
-            return out
-
-        y, first = _rk4(deriv, y, h, last - first), last
-        if stack:  # the columns whose steps end here retire
-            keep = int(np.count_nonzero(n > last))
-            out[:, order[keep:a]] = y[:, keep:]
-            y, a, durations, n, h = y[:, :keep].copy(), keep, durations[:keep], n[:keep], h[:keep]
-    return out if stack else y
+        t = durations * (np.arange(2 * first, 2 * last + 1)[:, None] / (2 * n))
+        kappa = 0.5j * np.stack([p.rabi(c) for p, c in zip(pulses, t.T)], 1)
+        gen = np.empty(t.shape + rot.shape, dtype=np.complex128)
+        gen[...] = rot
+        gen[..., :d, d] = kappa[..., None] * weights * np.exp(+1j * detuning * t)[..., None]
+        gen[..., d, :d] = (kappa * np.exp(-1j * detuning * t))[..., None] * weights
+        y, first = _rk4(gen, y, h, last - first), last
+        keep = int(np.count_nonzero(n > last))  # the columns whose steps end here retire
+        out[:, order[keep:a]] = y[keep:, :, 0].T
+        y, a, durations, n, h = y[:keep], keep, durations[:keep], n[:keep], h[:keep]
+    return out
 
 
 def integrate_two_level(
@@ -324,8 +314,8 @@ def integrate_two_level(
     """
     if couplings.d != state.d:
         raise ValueError(f"couplings have d={couplings.d} but state has d={state.d}")
-    y0 = np.array([state.wp.amps[0], state.b_g], dtype=np.complex128)
-    core, g = _propagate(y0, np.zeros(1), np.ones(1), pulse, n_steps)
+    y0 = np.array([[state.wp.amps[0]], [state.b_g]], dtype=np.complex128)
+    (core,), (g,) = _propagate(y0, np.zeros(1), np.ones(1), [pulse], n_steps)
     amps = state.wp.amps.copy()
     amps[0] = core
     return AtomState(g, AmplitudeVector(WAVEPACKET, amps))
@@ -355,8 +345,8 @@ def integrate_full(
         raise ValueError(f"couplings have d={couplings.d} but spectrum has d={spectrum.d}")
     if state.d != spectrum.d:
         raise ValueError(f"state has d={state.d} but spectrum has d={spectrum.d}")
-    y0 = np.append(change_basis(state.wp, ENERGY).amps, state.b_g)
-    y = _propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), pulse, n_steps)
+    y0 = np.append(change_basis(state.wp, ENERGY).amps, state.b_g)[:, None]
+    y = _propagate(y0, spectrum.frequency_offsets(), couplings.level_weights(), [pulse], n_steps)[:, 0]
     return AtomState(y[-1], change_basis(AmplitudeVector(ENERGY, y[:-1]), WAVEPACKET))
 
 
@@ -416,8 +406,8 @@ def selectivity_sweep(
 ) -> np.ndarray:
     """Leakage for each pulse duration, all other settings shared, from one column stack per model.
 
-    Each point is :func:`selectivity_error` at its duration, to the bit on the eigh path and up to the
-    stacked RK4 ground row's rounding otherwise, but no duration warns for being unselective.
+    Each point is :func:`selectivity_error` at its duration to the bit, but no duration warns for being
+    unselective.
     """
     durations = np.asarray(durations, dtype=np.float64)
     pulses = [PulseProfile(float(t), area, shape=shape) for t in durations.ravel()]

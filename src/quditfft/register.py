@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class RegisterShape:
 
     d: int
     q: int
-    max_amps: int | None = None
+    max_amps: int | None = field(default=None, compare=False)  # a cap, not geometry
 
     def __post_init__(self) -> None:
         if self.d < 2:

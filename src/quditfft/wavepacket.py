@@ -67,8 +67,8 @@ class RydbergSpectrum:
     """Taylor model of d circular-level frequencies around n̄.
 
     ``t_rev`` and ``t_sr`` are required only when the truncation includes the
-    corresponding term, and must be positive whenever given. n̄ may be any
-    positive number with a finite Kepler period 2π n̄³, its only use, no
+    corresponding term, and must be positive and finite whenever given. n̄ may
+    be any positive number with a finite Kepler period 2π n̄³, its only use, no
     smaller than the smallest normal float (below it, 1/T_K overflows).
     """
 
@@ -88,8 +88,8 @@ class RydbergSpectrum:
         if self.truncation not in TRUNCATIONS:
             raise ValueError(f"truncation must be one of {TRUNCATIONS}, got {self.truncation!r}")
         for name, value in (("t_rev", self.t_rev), ("t_sr", self.t_sr)):
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.truncation in (REVIVAL, SUPER_REVIVAL) and self.t_rev is None:
             raise ValueError("revival truncation requires a positive t_rev")
         if self.truncation == SUPER_REVIVAL and self.t_sr is None:

@@ -1,7 +1,9 @@
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
+import math
 import os
 import time
 import warnings
@@ -166,7 +168,10 @@ def test_non_finite_config_values_exit_two_naming_the_field(tmp_path, capsys, ke
      # read only by the trap gate or the pulse runner, yet rejected in every mode
      ("multiplicity", 0), ("kepler_periods", 0.5), ("omega_ge", 0.0), ("omega_ge", 1e155), ("pulse_shape", "triangle"),
      ("n_bar", -1), ("n_bar", 0), ("n_bar", 1e200), ("seed", -1),
-     ("pulse_duration_ratio", 0), ("pulse_duration_ratio", -1), ("kepler_periods", 1e299)],
+     ("pulse_duration_ratio", 0), ("pulse_duration_ratio", -1), ("kepler_periods", 1e299),
+     # time scales that overflow: T_rev = ratio * T_K, the pulse's drive area / T, the drive time 2 pi p / omega_ge
+     ("t_rev_ratio", 1.7e308), ("pulse_duration_ratio", 5e-324), ("pulse_duration_ratio", 1.7e308),
+     ("omega_ge", 5e-324)],
 )
 def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -295,6 +300,41 @@ def test_first_refused_multiplicity_exits_two_naming_it(tmp_path, capsys):
             got, out, err = run_cli(capsys, "--config", str(cfg))
         assert got == code
         assert err.startswith("error: multiplicity must be") == (code == 2)
+
+
+_NUMERIC_FIELDS = ("d", "q", "seed", "tolerance", "n_samples", "n_bar", "t_rev_ratio", "t_sr_ratio",
+                   "pulse_duration_ratio", "pulse_area", "control_index", "target_index", "multiplicity",
+                   "kepler_periods", "omega_ge")
+_EDGE_VALUES = (0, -0.0, 5e-324, 1e-300, 1e-110, 0.5, 1e30, 1e155, 1.7e308, -1, 2**62, True)
+# a ratio is read under the truncation that keeps its term
+_TRUNCATION_OF = {"t_rev_ratio": {"truncation": "revival"},
+                  "t_sr_ratio": {"truncation": "super-revival", "t_rev_ratio": 20}}
+
+
+def test_numeric_fields_cover_the_config():
+    numeric = [f.name for f in dataclasses.fields(RunConfig) if f.type in ("int", "float", "float | None")]
+    assert sorted(numeric) == sorted(_NUMERIC_FIELDS)
+
+
+@pytest.mark.parametrize("mode", cli._LAYERS)
+def test_config_domain_edges_run_or_exit_two_naming_the_field(tmp_path, capsys, mode):
+    # each field at each edge value (180 cases per mode) runs to a report of finite numbers or exits 2
+    # naming its field (or the amplitude cap), with no traceback and no numpy RuntimeWarning; a long
+    # auxiliary drive and a fractional kepler_periods warn by design
+    cfg = tmp_path / "cfg.json"
+    for field, value in itertools.product(_NUMERIC_FIELDS, _EDGE_VALUES):
+        cfg.write_text(json.dumps({**_TRUNCATION_OF.get(field, {}), field: value}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "auxiliary drive lasts", UserWarning)
+            warnings.filterwarnings("ignore", "kepler_periods=.* is not an integer", UserWarning)
+            code, out, err = run_cli(capsys, "--mode", mode, "--config", str(cfg))
+        case = f"{field} = {value!r} in {mode}: exit {code}, {err.strip()!r}"
+        assert code in (0, 1, 2), case
+        assert "NaN" not in out and "Infinity" not in out, case
+        if code == 2:
+            assert out == "" and err.startswith("error: "), case
+            assert field in err or "QUDITFFT_MAX_AMPS" in err, case
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -501,6 +541,17 @@ def test_render_report_is_sorted_and_newline_terminated():
     assert parsed["results"] == {"a": 2, "b": 1}
     keys = list(json.loads(text, object_pairs_hook=lambda p: [k for k, _ in p]))
     assert keys == sorted(keys)
+
+
+def test_a_non_finite_result_is_refused_and_never_written(tmp_path, capsys, monkeypatch):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_report(RunConfig(), {"x": bad}, True)
+        monkeypatch.setitem(cli._LAYERS, "wavepacket", lambda cfg: ({"x": bad}, True, [{"x": bad}]))
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(capsys, "--mode", "wavepacket", "--out", str(out))
+        assert code == 2 and stdout == "" and err.startswith("error: Out of range float values")
+        assert not out.exists()
 
 
 def test_parser_exposes_documented_flags():

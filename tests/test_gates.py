@@ -281,6 +281,17 @@ def test_apply_sequence_leaves_input_untouched():
     np.testing.assert_array_equal(state.amps, amps)
 
 
+def test_amplitude_cap_is_no_part_of_the_register_shape():
+    # the cap bounds what may be allocated; two registers of one geometry are one shape whatever their caps
+    assert RegisterShape(2, 4, max_amps=64) == RegisterShape(2, 4)
+    assert hash(RegisterShape(2, 4, max_amps=64)) == hash(RegisterShape(2, 4))
+    assert RegisterShape(2, 4, max_amps=64) != RegisterShape(4, 2)
+    state = QuditState(RegisterShape(2, 4, max_amps=64), np.eye(16)[3])
+    got = apply_sequence(state, build_fft_sequence(RegisterShape(2, 4)))
+    want = apply_sequence(QuditState(RegisterShape(2, 4), np.eye(16)[3]), build_fft_sequence(RegisterShape(2, 4)))
+    np.testing.assert_array_equal(got.amps, want.amps)
+
+
 def test_compile_rejects_sequences_the_plan_cannot_represent():
     shape = RegisterShape(3, 3)
     gates = build_fft_sequence(shape).gates

@@ -144,6 +144,12 @@ def test_trap_params_validation():
         with pytest.raises(ValueError, match="omega_ge must be positive and finite"):
             TrapParams(omega_ge=bad)
     assert TrapParams(omega_ge=1e154).omega_ge == 1e154
+    # a drive lasts 2 pi p / omega_ge with p up to 2**32; where that overflows, the auxiliary map would take cos(inf)
+    for bad in (5e-324, 1e-300, 1e-299):
+        with pytest.raises(ValueError, match="omega_ge must be positive and finite, with a finite square and a finite"):
+            TrapParams(omega_ge=bad)
+    for fine in (1e-297, 1e-110):
+        assert TrapParams(omega_ge=fine).omega_ge == fine
 
 
 def test_hybrid_basis_state_layout():

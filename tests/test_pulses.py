@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,6 +42,20 @@ def test_pulse_profile_validation():
             kwargs = {"duration": 1.0, "area": math.pi, "center_detuning": 0.0, field: value}
             with pytest.raises(ValueError, match=f"pulse {field} must be finite"):
                 PulseProfile(**kwargs)
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_pulse_profile_refuses_a_drive_that_overflows(shape):
+    # area / duration past the float range, or a gaussian crest 2.4x the mean drive past it
+    for duration, area in ((5e-324, math.pi), (1e-308, math.pi), (0.5, 1.7e308), (5e-324, 0.0)):
+        with pytest.raises(ValueError, match="pulse drive area \\* envelope must be finite"):
+            PulseProfile(duration, area, shape=shape)
+    crest = 6.0 / (math.sqrt(2.0 * math.pi) * math.erf(3.0 / math.sqrt(2.0)))
+    if shape == "gaussian":
+        with pytest.raises(ValueError, match="must be finite"):
+            PulseProfile(1.5 * math.pi / 1.7e308, math.pi, shape=shape)
+    pulse = PulseProfile(1.5 * crest * math.pi / 1.7e308, math.pi, shape=shape)
+    assert math.isfinite(pulse.rabi(pulse.duration / 2.0))
 
 
 @pytest.mark.parametrize("shape", ["square", "gaussian"])
@@ -345,26 +360,49 @@ def test_gaussian_default_is_rk4_at_the_default_step_count():
     assert np.array_equal(_as_vector(two), _as_vector(explicit_two))
 
 
-def _per_call_propagate(y0, offsets, weights, pulse, n_steps):
-    """Oracle for the RK4 path: the drive sampled anew in every right-hand side,
-    pulse.rabi(t) and both carrier phases, four times per step."""
-    d, detuning = offsets.shape[0], pulse.center_detuning
-    n = _resolve_steps(pulse, n_steps, offsets)
+def _per_call_propagate(y0, offsets, weights, pulses, n_steps):
+    """Oracle for the RK4 path, column by column: the generator formed anew from pulse.rabi(t) and both
+    carrier phases in every right-hand side, four times per step, then the same product gen @ y."""
+    d, out, rot = offsets.shape[0], np.empty_like(y0), np.diag(np.append(-1j * offsets, 0.0))[None]
+    for b, pulse in enumerate(pulses):
+        detuning, n = pulse.center_detuning, _resolve_steps(pulse, n_steps, offsets)
 
-    def deriv(t, y):
-        band, b_g = y[:d], y[d]
-        k = pulse.rabi(t)
-        out = np.empty_like(y)
-        out[:d] = -1j * offsets * band + 0.5j * k * weights * np.exp(+1j * detuning * t) * b_g
-        out[d] = 0.5j * k * np.exp(-1j * detuning * t) * np.dot(weights, band)
-        return out
+        def deriv(t, y):
+            k = 0.5j * pulse.rabi(t)
+            gen = rot.copy()
+            gen[0, :d, d] = k * weights * np.exp(+1j * detuning * t)
+            gen[0, d, :d] = k * np.exp(-1j * detuning * t) * weights
+            return gen @ y
 
-    h = pulse.duration / n
-    y = y0.astype(np.complex128, copy=True)
+        out[:, b] = _per_call_rk4(deriv, y0[None, :, b, None], pulse.duration, n)[0, :, 0]
+    return out
+
+
+def _elementwise_propagate(y0, offsets, weights, pulses, n_steps):
+    """Second, independent oracle for the RK4 path: the equations of integrate_full written out by rows,
+    the level rows elementwise and the ground row as a dot product, the drive sampled in every call."""
+    d, out = offsets.shape[0], np.empty_like(y0)
+    for b, pulse in enumerate(pulses):
+        detuning, n = pulse.center_detuning, _resolve_steps(pulse, n_steps, offsets)
+
+        def deriv(t, y):
+            band, b_g = y[:d], y[d]
+            k = pulse.rabi(t)
+            dy = np.empty_like(y)
+            dy[:d] = -1j * offsets * band + 0.5j * k * weights * np.exp(+1j * detuning * t) * b_g
+            dy[d] = 0.5j * k * np.exp(-1j * detuning * t) * np.dot(weights, band)
+            return dy
+
+        out[:, b] = _per_call_rk4(deriv, y0[:, b], pulse.duration, n)
+    return out
+
+
+def _per_call_rk4(deriv, y, duration, n):
+    h = duration / n
     for i in range(n):
-        t0 = pulse.duration * (i / n)
-        t_mid = pulse.duration * ((i + 0.5) / n)
-        t1 = pulse.duration * ((i + 1) / n)
+        t0 = duration * (i / n)
+        t_mid = duration * ((i + 0.5) / n)
+        t1 = duration * ((i + 1) / n)
         k1 = deriv(t0, y)
         k2 = deriv(t_mid, y + 0.5 * h * k1)
         k3 = deriv(t_mid, y + 0.5 * h * k2)
@@ -407,6 +445,10 @@ def test_rk4_drive_tables_match_per_call_sampling(monkeypatch, d, truncation, de
         _assert_bit_equal(got[:1], [_as_vector(integrate_full(state, pulse, coup, spectrum))])
     else:
         _assert_bit_equal(got, _both_integrators(state, pulse, coup, spectrum, n_steps))
+    # the rows written out, summed in another order: at most 2.3e-16 apart over this grid
+    monkeypatch.setattr(pulses_module, "_propagate", _elementwise_propagate)
+    for g, e in zip(got[:1] if exact else got, _both_integrators(state, pulse, coup, spectrum, n_steps)):
+        assert_allclose(g, e, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -439,8 +481,12 @@ def test_detuned_or_stepped_two_level_pulses_still_run_rk4(monkeypatch):
     rk4 = pulses_module._rk4
     calls = []
     monkeypatch.setattr(pulses_module, "_rk4", lambda *args: calls.append(args[3]) or rk4(*args))
-    got = [_as_vector(integrate_two_level(state, pulse, coup, n_steps=n)) for pulse, n in cases]
-    assert calls == [200, 120, 120]
+    got, steps = [], []
+    for pulse, n in cases:
+        calls.clear()
+        got.append(_as_vector(integrate_two_level(state, pulse, coup, n_steps=n)))
+        steps.append(sum(calls))
+    assert steps == [200, 120, 120]
     monkeypatch.setattr(pulses_module, "_propagate", _per_call_propagate)
     _assert_bit_equal(got, [_as_vector(integrate_two_level(state, pulse, coup, n_steps=n)) for pulse, n in cases])
 
@@ -461,10 +507,10 @@ def test_stepped_resonant_rk4_stays_near_the_exact_map(shape):
 
 
 def test_rk4_drive_tables_are_built_block_by_block(monkeypatch):
-    # a 60-entry budget holds 7 steps of (d+1)=4 entries per half-step row
-    # at d=3 and 14 steps of 2 at the two-level case; 213 steps then leave a
-    # short last block, and the block edges fall all through the pulse
-    d, budget, n_steps = 3, 60, 213
+    # a 100-entry budget holds 6 half-step rows of the (d+1)^2 = 16-entry generator at d=3, so blocks of
+    # 2 steps, and 25 rows of 4 in the two-level case, blocks of 12; 213 steps then leave a short last
+    # block, and the block edges fall all through the pulse
+    d, budget, n_steps = 3, 100, 213
     rng = np.random.default_rng(11)
     spectrum = RydbergSpectrum(5, d)
     coup = RabiCouplings(rng.uniform(0.5, 1.5, size=d))
@@ -482,7 +528,7 @@ def test_rk4_drive_tables_are_built_block_by_block(monkeypatch):
     monkeypatch.setattr(PulseProfile, "rabi", counting_rabi)
     blocked = _both_integrators(state, pulse, coup, spectrum, n_steps)
     # one drive sample per block, never per right-hand side, each within budget
-    assert samples == [15] * 30 + [7] + [29] * 15 + [7]
+    assert samples == [5] * 106 + [3] + [25] * 17 + [19]
     _assert_bit_equal(blocked, whole)
     monkeypatch.setattr(pulses_module, "_propagate", _per_call_propagate)
     _assert_bit_equal(blocked, _both_integrators(state, pulse, coup, spectrum, n_steps))
@@ -516,8 +562,8 @@ def _stack_case(rng, d, shape, ratios, detuning=0.03):
 
 
 def test_stacked_columns_retire_across_block_edges(monkeypatch):
-    # 213, 288 and 250 steps at d=3; a 60-entry budget holds 15 rows of 4 drive entries, so blocks of
-    # 2, 3 and 7 steps while 3, 2 and 1 columns are active, and each column retires inside a block
+    # 213, 288 and 250 steps at d=3; a 300-entry budget holds 18 rows of the 16-entry generator, so blocks
+    # of 2, 4 and 8 steps while 3, 2 and 1 columns are active, and each column retires inside a block
     rng = np.random.default_rng(21)
     (y0, offsets, weights), pulses = _stack_case(rng, 3, "gaussian", (0.15, 0.25, 0.2))
     assert [_resolve_steps(p, None, offsets) for p in pulses] == [213, 288, 250]
@@ -530,20 +576,20 @@ def test_stacked_columns_retire_across_block_edges(monkeypatch):
 
     monkeypatch.setattr(PulseProfile, "rabi", counting_rabi)
     other_edges = pulses_module._propagate(y0, offsets, weights, pulses, None)
-    # at the full budget the stacked tables still hold no more than the longest column's 577 rows:
-    # blocks of 95 steps (191 rows) and one of 23 for three columns, then 37 steps for two, 38 for one
-    assert samples == [191] * 6 + [47] * 3 + [75] * 2 + [77]
+    # at the full budget the generator stack still holds no more than the longest column's 577 rows of 4
+    # entries: blocks of 23 steps (47 rows) and one of 6 for three columns, then 35 steps and 2 for two,
+    # 38 for one
+    assert samples == [47] * 27 + [13] * 3 + [71] * 2 + [5] * 2 + [77]
     samples.clear()
-    monkeypatch.setattr(pulses_module, "BATCH_BUDGET", 60)
+    monkeypatch.setattr(pulses_module, "BATCH_BUDGET", 300)
     stacked = pulses_module._propagate(y0, offsets, weights, pulses, None)
     # one drive sample per active column per block: 106 blocks of 2 steps and one of 1 for three
-    # columns, 12 of 3 and one of 1 for two, 5 of 7 and one of 3 for the last
-    assert samples == [5] * 318 + [3] * 3 + [7] * 24 + [3] * 2 + [15] * 5 + [7]
+    # columns, 9 of 4 and one of 1 for two, 4 of 8 and one of 6 for the last
+    assert samples == [5] * 318 + [3] * 3 + [9] * 18 + [3] * 2 + [17] * 4 + [13]
     assert stacked.shape == y0.shape
     assert np.array_equal(stacked, other_edges)
     for b, pulse in enumerate(pulses):
-        alone = pulses_module._propagate(y0[:, b], offsets, weights, pulse, None)
-        assert_allclose(stacked[:, b], alone, rtol=0, atol=1e-14)
+        assert np.array_equal(stacked[:, b], pulses_module._propagate(y0[:, b:b + 1], offsets, weights, [pulse], None)[:, 0])
 
 
 def test_stacked_square_columns_are_their_own_calls_bit_for_bit():
@@ -551,15 +597,13 @@ def test_stacked_square_columns_are_their_own_calls_bit_for_bit():
     (y0, offsets, weights), pulses = _stack_case(rng, 5, "square", (0.3, 0.01, 0.1, 0.05))
     stacked = pulses_module._propagate(y0, offsets, weights, pulses, None)
     for b, pulse in enumerate(pulses):
-        assert np.array_equal(stacked[:, b], pulses_module._propagate(y0[:, b], offsets, weights, pulse, None))
+        assert np.array_equal(stacked[:, b:b + 1], pulses_module._propagate(y0[:, b:b + 1], offsets, weights, [pulse], None))
 
 
 @pytest.mark.parametrize("truncation", [KEPLER, REVIVAL])
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_selectivity_sweep_is_selectivity_error_per_point(d, truncation):
-    # square points to the bit. A gaussian stack rounds its RK4 ground row apart by a bit here and there,
-    # and the leakage 1 - |overlap|^2 keeps the absolute rounding of |overlap|^2 ~ 1: two ulps of 1.0
-    # (4.4e-16) are 2e-13 of a 2e-3 leakage
+    # every point to the bit, square and gaussian: each stacked column rounds as its own one-column call
     spectrum = RydbergSpectrum(5, d, t_rev=20.0 * 2.0 * math.pi * 5**3, truncation=truncation)
     coup = RabiCouplings.uniform(d)
     durations = spectrum.t_kepler * np.array([1.0 / d, 0.25 / d])
@@ -568,10 +612,28 @@ def test_selectivity_sweep_is_selectivity_error_per_point(d, truncation):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # T_K / d is not selective
             points = [selectivity_error(spectrum, PulseProfile(t, math.pi, shape=shape), coup) for t in durations]
-        if shape == "square":
-            assert np.array_equal(sweep, points)
-        else:
-            assert_allclose(sweep, points, rtol=1e-13, atol=2 * np.finfo(float).eps)
+        assert np.array_equal(sweep, points)
+
+
+@pytest.mark.parametrize("d, ceiling_mib", [(3, 0.15), (5, 0.37), (8, 0.78)])
+def test_gaussian_sweep_memory_is_bounded_by_the_block_rule(monkeypatch, d, ceiling_mib):
+    # a block's generator stack holds no more entries than the longest column's (d+1)-wide drive samples,
+    # so the traced peak of an eight-duration sweep stays under 0.15 / 0.37 / 0.78 MiB at d = 3 / 5 / 8
+    spectrum, coup = RydbergSpectrum(5, d), RabiCouplings.uniform(d)
+    durations = np.geomspace(spectrum.t_kepler, spectrum.t_kepler / (4.0 * d), num=8)
+    selectivity_sweep(spectrum, coup, durations, shape="gaussian")  # the packet matrix is cached from here on
+    tracemalloc.start()
+    try:
+        selectivity_sweep(spectrum, coup, durations, shape="gaussian")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling_mib * 2**20
+    sizes, rk4 = [], pulses_module._rk4
+    monkeypatch.setattr(pulses_module, "_rk4", lambda gen, *args: sizes.append(gen.size) or rk4(gen, *args))
+    selectivity_sweep(spectrum, coup, durations, shape="gaussian")
+    longest = _resolve_steps(PulseProfile(durations[0], math.pi, shape="gaussian"), None, spectrum.frequency_offsets())
+    assert 0 < max(sizes) <= (2 * longest + 1) * (d + 1)
 
 
 def test_selectivity_sweep_keeps_the_shape_of_its_durations():
@@ -664,14 +726,24 @@ def test_stepped_leakage_is_the_packet_basis_oracle(d, shape):
 
 
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
-def test_one_column_stack_is_the_lone_call(shape):
+def test_one_column_stack_is_the_lone_call(monkeypatch, shape):
+    # every column of a stack is its own one-column call to the bit, on the eigh and the RK4 path, resonant
+    # or detuned, with default or explicit steps; and a lone pulse goes in as that one column
     rng = np.random.default_rng(24)
-    (y0, offsets, weights), pulses = _stack_case(rng, 5, shape, (0.05,))
-    for args in ((y0, offsets, weights), (y0[:2], np.zeros(1), np.ones(1))):  # the full band, the two-level pair
-        for n_steps in (None, 250):
-            stacked = pulses_module._propagate(*args, pulses, n_steps)
-            assert stacked.shape == args[0].shape
-            assert np.array_equal(stacked[:, 0], pulses_module._propagate(args[0][:, 0], *args[1:], pulses[0], n_steps))
+    for detuning in (0.0, 0.03):
+        (y0, offsets, weights), pulses = _stack_case(rng, 5, shape, (0.05, 0.2, 0.01, 0.1), detuning)
+        for args in ((y0, offsets, weights), (y0[:2], np.zeros(1), np.ones(1))):  # the full band, the two-level pair
+            for n_steps in (None, 250):
+                stacked = pulses_module._propagate(*args, pulses, n_steps)
+                assert stacked.shape == args[0].shape
+                for b, pulse in enumerate(pulses):
+                    alone = pulses_module._propagate(args[0][:, b:b + 1], *args[1:], [pulse], n_steps)
+                    assert np.array_equal(stacked[:, b:b + 1], alone)
+    calls, propagate = [], pulses_module._propagate
+    monkeypatch.setattr(pulses_module, "_propagate", lambda y0, *args: calls.append(y0.shape) or propagate(y0, *args))
+    integrate_full(AtomState.ground(5), pulses[0], RabiCouplings.uniform(5), RydbergSpectrum(5, 5))
+    integrate_two_level(AtomState.ground(5), pulses[0], RabiCouplings.uniform(5))
+    assert calls == [(6, 1), (2, 1)]
 
 
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
@@ -700,8 +772,6 @@ def test_leakage_takes_two_propagations_and_stays_in_the_energy_basis(monkeypatc
         calls.clear()
         selectivity_sweep(spectrum, coup, np.geomspace(spectrum.t_kepler, spectrum.t_kepler / (4.0 * d), num=n),
                           shape=shape)
-        # one stack through the full band, one through the two-level pair; a one-column stack is the lone call
-        lone = [(d + 1,), (2,)] if n == 1 else []
-        assert [c for c in calls if len(c) == 2] == [(d + 1, n), (2, n)]
-        assert sorted(c for c in calls if len(c) == 1) == sorted(lone)
+        # one stack through the full band, one through the two-level pair, a single duration as one column
+        assert calls == [(d + 1, n), (2, n)]
     assert WAVEPACKET not in bases

@@ -44,9 +44,10 @@ def test_spectrum_validation():
         RydbergSpectrum(5, 3, truncation=REVIVAL)  # t_rev missing
     with pytest.raises(ValueError):
         RydbergSpectrum(5, 3, t_rev=100.0, truncation=SUPER_REVIVAL)  # t_sr missing
-    # a given t_rev or t_sr must be positive even where the truncation ignores it
+    # a given t_rev or t_sr must be positive and finite even where the truncation ignores it; an infinite
+    # T_rev would read a revival term of 0 and sweep times of 0 * inf = NaN
     for name in ("t_rev", "t_sr"):
-        for bad in (-1.0, 0.0, float("nan")):
+        for bad in (-1.0, 0.0, float("nan"), math.inf):
             with pytest.raises(ValueError, match=f"{name} must be positive"):
                 RydbergSpectrum(5, 3, **{name: bad})
     # T_K = 2π n̄³ overflows: rejected, not an OverflowError at first use
