@@ -126,19 +126,24 @@ class RunConfig:
         try:
             spectrum = _spectrum_from(self)
             TrapParams(omega_ge=self.omega_ge)
-            check_multiplicity(self.multiplicity)
+            check_multiplicity(self.multiplicity, self.omega_ge)
             check_kepler_periods(self.kepler_periods)
             check_gate_time(spectrum, self.kepler_periods)  # a bound, so no schedule is built here
             check_gate_qudits(self.control_index, self.target_index, self.trap_q)
             RegisterShape(self.d, self.trap_q)  # trap_q >= q, so this caps the gate register too
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
-        try:  # the pulse the pulse runner fires at the chosen duration
-            PulseProfile(self.pulse_duration_ratio * spectrum.t_kepler, self.pulse_area, self.pulse_shape)
-        except ValueError as exc:
-            raise ConfigurationError(f"pulse_duration_ratio must be such that the pulse at pulse_area = "
-                                     f"{self.pulse_area} has a finite duration and drive, got "
-                                     f"{self.pulse_duration_ratio} ({exc})") from exc
+        # the pulse runner fires the chosen duration, and its sweep reaches down to T_K / (4 d) with T_K = 2π n̄³
+        t_kepler = spectrum.t_kepler
+        for name, duration in (("pulse_duration_ratio", self.pulse_duration_ratio * t_kepler),
+                               ("n_bar", t_kepler / (4.0 * self.d))):
+            try:
+                PulseProfile(duration, self.pulse_area, self.pulse_shape)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{name} must be such that the pulses fired at pulse_area = {self.pulse_area} have a finite "
+                    f"duration and drive, got "
+                    f"pulse_duration_ratio {self.pulse_duration_ratio} and n_bar {self.n_bar} ({exc})") from exc
 
 
 def _config_from_sources(args: argparse.Namespace) -> RunConfig:
@@ -239,8 +244,8 @@ def _run_pulse(cfg: RunConfig) -> tuple[dict, bool, list[dict]]:
         spectrum.t_kepler, spectrum.t_kepler / (4.0 * cfg.d), num=8
     )
     chosen = float(cfg.pulse_duration_ratio * spectrum.t_kepler)
-    # one stack maps every duration, and each point is its own selectivity_error (to the bit for
-    # square pulses), so the chosen duration rides along as a ninth column
+    # one stack maps every duration, and each point is its own selectivity_error to the bit, so the
+    # chosen duration rides along as a ninth column
     sweep = selectivity_sweep(spectrum, couplings, np.append(durations, chosen),
                               area=cfg.pulse_area, shape=cfg.pulse_shape)
     leakage, chosen_leak = sweep[:-1], float(sweep[-1])

@@ -105,13 +105,10 @@ class TrapParams:
     omega_ge: float = 50.0
 
     def __post_init__(self) -> None:
-        # the auxiliary map squares omega_ge, so its square must be finite too (omega_ge below ~1.34e154), and
-        # a drive lasts 2 pi p / omega_ge, finite up to the multiplicity bound (omega_ge from ~1.5e-298)
+        # the auxiliary map squares omega_ge, so its square must be finite too (omega_ge below ~1.34e154)
         omega = float(self.omega_ge)
-        longest_drive = 2.0 * math.pi * _MAX_MULTIPLICITY / omega if omega > 0 else math.inf
-        if not (math.isfinite(omega * omega) and longest_drive < math.inf):
-            raise ValueError(f"omega_ge must be positive and finite, with a finite square and a finite drive time "
-                             f"2π·2**32 / omega_ge, got {self.omega_ge}")
+        if not (omega > 0 and math.isfinite(omega * omega)):
+            raise ValueError(f"omega_ge must be positive and finite, with a finite square, got {self.omega_ge}")
 
 
 @dataclass(frozen=True)
@@ -203,14 +200,18 @@ def _require_all(ok: np.ndarray, what: str, values: np.ndarray) -> None:
         raise ValueError(f"{what}, got {values.ravel()[first : first + 1].item()!r}")
 
 
-def check_multiplicity(multiplicity: int) -> int:
-    """The auxiliary drive runs a whole number p of cycles, 1 <= p <= 2**32; returns p."""
+def check_multiplicity(multiplicity: int, omega_ge: float) -> int:
+    """The auxiliary drive runs a whole number p of cycles, 1 <= p <= 2**32, for a finite 2 pi p / omega_ge;
+    returns p."""
     # The dialed phase p*pi*(1 + x) carries p*pi times the rounding of the solved x, and a gate's 1 - F
     # grows as its square: about 2e-12 at p = 2**32 but 6e-10 at 2**36 (d = 3 and 6), against
     # EPS_FIDELITY = 1e-9. Up to 2**32 rounding stays two orders of magnitude under the gate's tolerance.
     if not 1 <= multiplicity <= _MAX_MULTIPLICITY or multiplicity != int(multiplicity):
         raise ValueError(f"multiplicity must be a finite integer from 1 to 2**32 = {_MAX_MULTIPLICITY}, "
                          f"got {multiplicity}")
+    if not 2.0 * math.pi * int(multiplicity) / float(omega_ge) < math.inf:  # else the auxiliary map takes cos(inf)
+        raise ValueError(f"omega_ge must be large enough that the drive time 2π·multiplicity / omega_ge is finite, "
+                         f"got {omega_ge} with multiplicity {multiplicity}")
     return int(multiplicity)
 
 
@@ -258,7 +259,7 @@ def solve_aux_detuning(phi: float, omega_ge: float, multiplicity: int = 1) -> fl
         raise ValueError(f"omega_ge must be positive and finite, got {omega_ge}")
     if not math.isfinite(phi):
         raise ValueError(f"phase must be finite, got {phi}")
-    p = check_multiplicity(multiplicity)
+    p = check_multiplicity(multiplicity, omega_ge)
     base = phi / (p * math.pi) - 1.0
     # Admissible ratios x = detuning/omega_ge are base + 2n/p within [-1, 1].
     lo = math.ceil(p * (-1.0 - base) / 2.0 - 1e-12)
@@ -289,7 +290,7 @@ def _aux_map(detuning: float, omega_ge: float, multiplicity: int) -> tuple[compl
     if not abs(detuning) <= omega_ge:
         raise ValueError(f"|detuning|={abs(detuning)} exceeds omega_ge={omega_ge}; no real coupling exists")
     coupling = math.sqrt(max(omega_ge**2 - detuning**2, 0.0))
-    duration = 2.0 * math.pi * multiplicity / omega_ge
+    duration = 2.0 * math.pi * check_multiplicity(multiplicity, omega_ge) / omega_ge
     half = omega_ge * duration / 2.0  # = pi * p
     c, s = math.cos(half), math.sin(half)
     # exp(-iHT) on the ordered pair (|g,1>, |e,0>), split into the trace part
@@ -456,7 +457,7 @@ def _run_schedule(runs: list[tuple[int, int, float]], d: int, params: TrapParams
     if kepler_periods != int(kepler_periods):
         warnings.warn(f"kepler_periods={kepler_periods} is not an integer; the closing swap will fire with "
                       "the packet away from the turning point", stacklevel=3)
-    p = check_multiplicity(multiplicity)
+    p = check_multiplicity(multiplicity, params.omega_ge)
     times = [t_min]
     for _, packet_slot, _ in runs:
         times += _plan_run_times(times[-1], packet_slot, d, spectrum.t_kepler, kepler_periods, t_ref)

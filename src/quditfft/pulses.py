@@ -19,12 +19,9 @@ Both models share one propagator. A square pulse is exact: its generator is
 constant in the frame rotating at the carrier detuning, so one eigh gives the
 map. So is a resonant two-level pulse of any envelope, whose generator is
 kappa(t) H0 for a constant H0 (the pulse-area theorem). Any other pulse, or
-a call given ``n_steps``, runs fixed-step RK4 (capped at MAX_RK4_STEPS) on
-the linear equations y' = A(t) y, sampling the drive once per block of steps
-into a stack of generators A(t), so that each right-hand side is one matrix
-product. The propagator maps column stacks only: a lone pulse is a one-column
-stack, a stack of durations takes one batched eigh or one RK4 loop, and each
-column rounds as its own call.
+a call given ``n_steps``, runs fixed-step RK4 (capped at MAX_RK4_STEPS),
+sampling the drive once per block of steps. The propagator maps column stacks
+only: a lone pulse is one column, and each column rounds as its own call.
 
 Couplings are stated per level. The collective Rabi frequency of the core
 packet is (1/sqrt(d)) * sum_j omega_gj, the coherent enhancement of driving
@@ -202,16 +199,33 @@ def resonant_pulse_map(area: float) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
 
 
-def _rk4(gen: np.ndarray, y: np.ndarray, h: np.ndarray, n_steps: int) -> np.ndarray:
-    """``n_steps`` fixed RK4 steps of size h from y for y' = gen[j] @ y, with gen[j] the generator stack at
-    half-step j, so step i reads half-steps 2i, 2i+1, 2i+2."""
+def _rk4(rot: np.ndarray, pick: np.ndarray, arrow: np.ndarray, y: np.ndarray, h: np.ndarray,
+         n_steps: int) -> np.ndarray:
+    """``n_steps`` fixed RK4 steps of size h from the (B, d+1, 1) stack y for y' = rot y + arrow[j] @ (pick @ y),
+    the arrow generator at half-step j, so step i reads half-steps 2i, 2i+1, 2i+2."""
+    def deriv(j: int, y: np.ndarray) -> np.ndarray:
+        return rot * y + arrow[j] @ (pick @ y)
+
+    half, sixth = 0.5 * h, h / 6.0
     for i in range(n_steps):
-        k1 = gen[2 * i] @ y
-        k2 = gen[2 * i + 1] @ (y + 0.5 * h * k1)
-        k3 = gen[2 * i + 1] @ (y + 0.5 * h * k2)
-        k4 = gen[2 * i + 2] @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = deriv(2 * i, y)
+        k2 = deriv(2 * i + 1, y + half * k1)
+        k3 = deriv(2 * i + 1, y + half * k2)
+        k4 = deriv(2 * i + 2, y + h * k3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def _arrow(pulses: list[PulseProfile], t: np.ndarray, weights: np.ndarray, detuning: float) -> np.ndarray:
+    """The drive of the generator at the (rows, B) times t, column b under pulses[b], as (rows, B, d+1, 2)
+    blocks [[(i kappa/2) w exp(+i D t), 0], [0, (i kappa/2) exp(-i D t)]]: the level column fed by the
+    ground, and the ground row's factor on w . levels."""
+    kappa = 0.5j * np.stack([p.rabi(c) for p, c in zip(pulses, t.T)], 1)
+    arrow = np.zeros(t.shape + (weights.shape[0] + 1, 2), dtype=np.complex128)
+    np.multiply(kappa[..., None], weights, out=arrow[..., :-1, 0])
+    arrow[..., :-1, 0] *= np.exp(+1j * detuning * t)[..., None]
+    arrow[..., -1, 1] = kappa * np.exp(-1j * detuning * t)
+    return arrow
 
 
 def _phase_cycles(pulse: PulseProfile, offsets: np.ndarray) -> float:
@@ -242,8 +256,7 @@ def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray, pulses:
                n_steps: int | None) -> np.ndarray:
     """Map a (d+1, B) column stack of (levels..., ground) through B pulses by the equations of integrate_full.
 
-    The pulses share one shape, area and detuning, and column b runs through pulses[b]; a lone pulse is a
-    one-column stack, and every column rounds as its own one-column call.
+    The pulses share one shape, area and detuning; column b runs through pulses[b], to the bit as its own call.
 
     Square, or resonant on zero offsets, with no explicit step count: in the
     frame rotating at D the generator H = diag(dw + D, 0) - (kappa/2)(w e_g^T
@@ -251,13 +264,13 @@ def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray, pulses:
     dw = 0), so one eigh at kappa = area/T gives the map V exp(-i L T) V^T, and
     a resonant two-level gaussian is its square twin to the bit; the level rows
     then return to the lab frame with exp(+i D T). The stack makes one batched eigh.
-    Anything else runs RK4 on the linear equations y' = A(t) y. Each block of steps samples the drive
-    once per active column at its half-step times into a generator stack gen[row, col] = A(t): the
-    diagonal -i dw, the level column (i kappa/2) exp(+i D t) w and the ground row (i kappa/2)
-    exp(-i D t) w, in that factor order. Every right-hand side is then one product gen[j] @ y on the
-    (B, d+1, 1) state. Columns run longest first and retire as their steps end, and a block's
-    generator stack holds no more entries than BATCH_BUDGET or the longest column's (d+1)-wide drive
-    samples, whichever is fewer.
+    Anything else runs RK4 on y' = A(t) y, whose generator is an arrow: the diagonal -i dw, the level
+    column (i kappa/2) w exp(+i D t) and the ground row (i kappa/2) exp(-i D t) w. Each block of steps
+    samples the drive once per active column into arrow tables, and a right-hand side is
+    rot y + arrow[j] @ (pick @ y), O(d) work per column: pick takes (ground, w . levels) from y and the
+    arrow sends them back along the column and the row. Columns run longest first and retire as their
+    steps end. A block's tables, 2 (d+1) entries per half-step and column, hold no more than BATCH_BUDGET
+    or the longest column's (d+1)-wide drive samples, whichever is fewer, unless one step alone exceeds it.
     """
     d, detuning = offsets.shape[0], pulses[0].center_detuning
     durations = np.array([p.duration for p in pulses])
@@ -274,19 +287,15 @@ def _propagate(y0: np.ndarray, offsets: np.ndarray, weights: np.ndarray, pulses:
     order = sorted(range(len(pulses)), key=lambda b: -steps[b])  # longest first, so the active columns are a prefix
     pulses, durations, n, y = [pulses[b] for b in order], durations[order], np.array(steps)[order], y0.T[order, :, None]
     h, a, first, out = (durations / n)[:, None, None], len(pulses), 0, np.empty_like(y0)
-    rot, entries = np.diag(np.append(-1j * offsets, 0.0)), min(BATCH_BUDGET, (2 * n[0] + 1) * (d + 1))
+    rot, pick = np.append(-1j * offsets, 0.0)[:, None], np.zeros((2, d + 1), dtype=np.complex128)
+    pick[0, d], pick[1, :d] = 1.0, weights  # (ground, w . levels)
     while a:
-        rows = entries // ((d + 1) ** 2 * a)
+        rows = min(BATCH_BUDGET // (d + 1), 2 * n[0] + 1) // (2 * a)
         last = min(first + max(1, (rows - 1) // 2), n[a - 1])  # no column retires inside a block
         # Times as exact fractions of the duration: accumulating i*h + h can
         # overshoot the window by one ulp and zero a hard edge's endpoint.
         t = durations * (np.arange(2 * first, 2 * last + 1)[:, None] / (2 * n))
-        kappa = 0.5j * np.stack([p.rabi(c) for p, c in zip(pulses, t.T)], 1)
-        gen = np.empty(t.shape + rot.shape, dtype=np.complex128)
-        gen[...] = rot
-        gen[..., :d, d] = kappa[..., None] * weights * np.exp(+1j * detuning * t)[..., None]
-        gen[..., d, :d] = (kappa * np.exp(-1j * detuning * t))[..., None] * weights
-        y, first = _rk4(gen, y, h, last - first), last
+        y, first = _rk4(rot, pick, _arrow(pulses, t, weights, detuning), y, h, last - first), last
         keep = int(np.count_nonzero(n > last))  # the columns whose steps end here retire
         out[:, order[keep:a]] = y[keep:, :, 0].T
         y, a, durations, n, h = y[:keep], keep, durations[:keep], n[:keep], h[:keep]

@@ -183,6 +183,19 @@ def test_bad_config_types_and_ranges_exit_two_naming_the_field(tmp_path, capsys,
         assert err.startswith(f"error: {key} must be")
 
 
+@pytest.mark.parametrize("mode", ["verify-qft", "pulse", "iontrap"])
+def test_a_swept_pulse_that_overflows_exits_two_naming_n_bar(tmp_path, capsys, mode):
+    # the chosen pulse of 10 T_K has a finite drive, but the sweep reaches down to T_K / (4 d), set by n_bar,
+    # where pulse_area / T overflows; multiplicity 2**32 at omega_ge 1e-300 is refused by its own drive time
+    cfg = tmp_path / "cfg.json"
+    for bad, key in (({"pulse_area": 1.7e308, "n_bar": 0.5, "pulse_duration_ratio": 10}, "n_bar"),
+                     ({"omega_ge": 1e-300, "multiplicity": 2**32}, "omega_ge")):
+        cfg.write_text(json.dumps({"mode": mode, **bad}))
+        code, out, err = run_cli(capsys, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key} must be")
+
+
 @pytest.mark.parametrize(
     "bad,field",
     [({"truncation": "revival"}, "t_rev"), ({"t_rev_ratio": -1}, "t_rev"), ({"t_sr_ratio": 0}, "t_sr"),

@@ -361,18 +361,20 @@ def test_gaussian_default_is_rk4_at_the_default_step_count():
 
 
 def _per_call_propagate(y0, offsets, weights, pulses, n_steps):
-    """Oracle for the RK4 path, column by column: the generator formed anew from pulse.rabi(t) and both
-    carrier phases in every right-hand side, four times per step, then the same product gen @ y."""
-    d, out, rot = offsets.shape[0], np.empty_like(y0), np.diag(np.append(-1j * offsets, 0.0))[None]
+    """Oracle for the RK4 path, column by column: the arrow formed anew from pulse.rabi(t) and both carrier
+    phases in every right-hand side, four times per step, then the same product rot y + arrow @ (pick @ y)."""
+    d, out = offsets.shape[0], np.empty_like(y0)
+    rot, pick = np.append(-1j * offsets, 0.0)[:, None], np.zeros((2, d + 1), dtype=np.complex128)
+    pick[0, d], pick[1, :d] = 1.0, weights
     for b, pulse in enumerate(pulses):
         detuning, n = pulse.center_detuning, _resolve_steps(pulse, n_steps, offsets)
 
         def deriv(t, y):
             k = 0.5j * pulse.rabi(t)
-            gen = rot.copy()
-            gen[0, :d, d] = k * weights * np.exp(+1j * detuning * t)
-            gen[0, d, :d] = k * np.exp(-1j * detuning * t) * weights
-            return gen @ y
+            arrow = np.zeros((d + 1, 2), dtype=np.complex128)
+            arrow[:d, 0] = k * weights * np.exp(+1j * detuning * t)
+            arrow[d, 1] = k * np.exp(-1j * detuning * t)
+            return rot * y + arrow @ (pick @ y)
 
         out[:, b] = _per_call_rk4(deriv, y0[None, :, b, None], pulse.duration, n)[0, :, 0]
     return out
@@ -445,7 +447,7 @@ def test_rk4_drive_tables_match_per_call_sampling(monkeypatch, d, truncation, de
         _assert_bit_equal(got[:1], [_as_vector(integrate_full(state, pulse, coup, spectrum))])
     else:
         _assert_bit_equal(got, _both_integrators(state, pulse, coup, spectrum, n_steps))
-    # the rows written out, summed in another order: at most 2.3e-16 apart over this grid
+    # the rows written out, summed in another order: at most 1.7e-16 apart over this grid
     monkeypatch.setattr(pulses_module, "_propagate", _elementwise_propagate)
     for g, e in zip(got[:1] if exact else got, _both_integrators(state, pulse, coup, spectrum, n_steps)):
         assert_allclose(g, e, rtol=0, atol=1e-15)
@@ -480,7 +482,7 @@ def test_detuned_or_stepped_two_level_pulses_still_run_rk4(monkeypatch):
     ]
     rk4 = pulses_module._rk4
     calls = []
-    monkeypatch.setattr(pulses_module, "_rk4", lambda *args: calls.append(args[3]) or rk4(*args))
+    monkeypatch.setattr(pulses_module, "_rk4", lambda *args: calls.append(args[-1]) or rk4(*args))
     got, steps = [], []
     for pulse, n in cases:
         calls.clear()
@@ -507,10 +509,10 @@ def test_stepped_resonant_rk4_stays_near_the_exact_map(shape):
 
 
 def test_rk4_drive_tables_are_built_block_by_block(monkeypatch):
-    # a 100-entry budget holds 6 half-step rows of the (d+1)^2 = 16-entry generator at d=3, so blocks of
-    # 2 steps, and 25 rows of 4 in the two-level case, blocks of 12; 213 steps then leave a short last
+    # a 120-entry budget holds 15 half-step rows of 2 (d+1) = 8 arrow entries at d=3, so blocks of 7
+    # steps, and 30 rows of 4 in the two-level case, blocks of 14; 213 steps then leave a short last
     # block, and the block edges fall all through the pulse
-    d, budget, n_steps = 3, 100, 213
+    d, budget, n_steps = 3, 120, 213
     rng = np.random.default_rng(11)
     spectrum = RydbergSpectrum(5, d)
     coup = RabiCouplings(rng.uniform(0.5, 1.5, size=d))
@@ -528,7 +530,7 @@ def test_rk4_drive_tables_are_built_block_by_block(monkeypatch):
     monkeypatch.setattr(PulseProfile, "rabi", counting_rabi)
     blocked = _both_integrators(state, pulse, coup, spectrum, n_steps)
     # one drive sample per block, never per right-hand side, each within budget
-    assert samples == [5] * 106 + [3] + [25] * 17 + [19]
+    assert samples == [15] * 30 + [7] + [29] * 15 + [7]
     _assert_bit_equal(blocked, whole)
     monkeypatch.setattr(pulses_module, "_propagate", _per_call_propagate)
     _assert_bit_equal(blocked, _both_integrators(state, pulse, coup, spectrum, n_steps))
@@ -562,8 +564,8 @@ def _stack_case(rng, d, shape, ratios, detuning=0.03):
 
 
 def test_stacked_columns_retire_across_block_edges(monkeypatch):
-    # 213, 288 and 250 steps at d=3; a 300-entry budget holds 18 rows of the 16-entry generator, so blocks
-    # of 2, 4 and 8 steps while 3, 2 and 1 columns are active, and each column retires inside a block
+    # 213, 288 and 250 steps at d=3; a 120-entry budget holds 15 rows of 8 arrow entries, so blocks of
+    # 2, 3 and 7 steps while 3, 2 and 1 columns are active, and each column retires inside a block
     rng = np.random.default_rng(21)
     (y0, offsets, weights), pulses = _stack_case(rng, 3, "gaussian", (0.15, 0.25, 0.2))
     assert [_resolve_steps(p, None, offsets) for p in pulses] == [213, 288, 250]
@@ -576,16 +578,15 @@ def test_stacked_columns_retire_across_block_edges(monkeypatch):
 
     monkeypatch.setattr(PulseProfile, "rabi", counting_rabi)
     other_edges = pulses_module._propagate(y0, offsets, weights, pulses, None)
-    # at the full budget the generator stack still holds no more than the longest column's 577 rows of 4
-    # entries: blocks of 23 steps (47 rows) and one of 6 for three columns, then 35 steps and 2 for two,
-    # 38 for one
-    assert samples == [47] * 27 + [13] * 3 + [71] * 2 + [5] * 2 + [77]
+    # at the full budget the arrow tables still hold no more than the longest column's 577 rows of 4
+    # entries: blocks of 47 steps (95 rows) and one of 25 for three columns, then 37 steps for two, 38 for one
+    assert samples == [95] * 12 + [51] * 3 + [75] * 2 + [77]
     samples.clear()
-    monkeypatch.setattr(pulses_module, "BATCH_BUDGET", 300)
+    monkeypatch.setattr(pulses_module, "BATCH_BUDGET", 120)
     stacked = pulses_module._propagate(y0, offsets, weights, pulses, None)
     # one drive sample per active column per block: 106 blocks of 2 steps and one of 1 for three
-    # columns, 9 of 4 and one of 1 for two, 4 of 8 and one of 6 for the last
-    assert samples == [5] * 318 + [3] * 3 + [9] * 18 + [3] * 2 + [17] * 4 + [13]
+    # columns, 12 of 3 and one of 1 for two, 5 of 7 and one of 3 for the last
+    assert samples == [5] * 318 + [3] * 3 + [7] * 24 + [3] * 2 + [15] * 5 + [7]
     assert stacked.shape == y0.shape
     assert np.array_equal(stacked, other_edges)
     for b, pulse in enumerate(pulses):
@@ -615,25 +616,26 @@ def test_selectivity_sweep_is_selectivity_error_per_point(d, truncation):
         assert np.array_equal(sweep, points)
 
 
-@pytest.mark.parametrize("d, ceiling_mib", [(3, 0.15), (5, 0.37), (8, 0.78)])
+@pytest.mark.parametrize("d, ceiling_mib", [(3, 0.15), (5, 0.37), (8, 0.78), (128, 4.75)])
 def test_gaussian_sweep_memory_is_bounded_by_the_block_rule(monkeypatch, d, ceiling_mib):
-    # a block's generator stack holds no more entries than the longest column's (d+1)-wide drive samples,
-    # so the traced peak of an eight-duration sweep stays under 0.15 / 0.37 / 0.78 MiB at d = 3 / 5 / 8
+    # a block's arrow tables hold no more entries than BATCH_BUDGET or the longest column's (d+1)-wide drive
+    # samples, so the traced peak of an eight-duration sweep stays under 0.15 / 0.37 / 0.78 MiB at
+    # d = 3 / 5 / 8, and at d = 128, where the budget binds, near its 4 MiB of complex entries
     spectrum, coup = RydbergSpectrum(5, d), RabiCouplings.uniform(d)
     durations = np.geomspace(spectrum.t_kepler, spectrum.t_kepler / (4.0 * d), num=8)
-    selectivity_sweep(spectrum, coup, durations, shape="gaussian")  # the packet matrix is cached from here on
+    selectivity_sweep(spectrum, coup, durations[-1:], shape="gaussian")  # the packet matrix is cached from here on
     tracemalloc.start()
     try:
+        sizes, rk4 = [], pulses_module._rk4
+        monkeypatch.setattr(pulses_module, "_rk4", lambda rot, pick, arrow, *args: sizes.append(arrow.size)
+                            or rk4(rot, pick, arrow, *args))
         selectivity_sweep(spectrum, coup, durations, shape="gaussian")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= ceiling_mib * 2**20
-    sizes, rk4 = [], pulses_module._rk4
-    monkeypatch.setattr(pulses_module, "_rk4", lambda gen, *args: sizes.append(gen.size) or rk4(gen, *args))
-    selectivity_sweep(spectrum, coup, durations, shape="gaussian")
     longest = _resolve_steps(PulseProfile(durations[0], math.pi, shape="gaussian"), None, spectrum.frequency_offsets())
-    assert 0 < max(sizes) <= (2 * longest + 1) * (d + 1)
+    assert 0 < max(sizes) <= min(pulses_module.BATCH_BUDGET, (2 * longest + 1) * (d + 1))
 
 
 def test_selectivity_sweep_keeps_the_shape_of_its_durations():
