@@ -40,6 +40,7 @@ from .pulses import (
     AtomState,
     PulseProfile,
     RabiCouplings,
+    _resolve_steps,
     integrate_two_level,
     resonant_pulse_map,
     selectivity_sweep,
@@ -144,6 +145,19 @@ class RunConfig:
                     f"{name} must be such that the pulses fired at pulse_area = {self.pulse_area} have a finite "
                     f"duration and drive, got "
                     f"pulse_duration_ratio {self.pulse_duration_ratio} and n_bar {self.n_bar} ({exc})") from exc
+        # a shaped pulse runs RK4 on the band, in as many steps as the pulse layer sizes it; the sweep's longest
+        # pulse lasts T_K, so only its area can take it past the cap, and then the chosen pulse's duration can
+        if self.pulse_shape != "square":
+            offsets = RydbergSpectrum(self.n_bar, self.d).frequency_offsets()
+            chosen = self.pulse_duration_ratio * t_kepler
+            for name, duration in (("pulse_area", t_kepler), ("pulse_duration_ratio", chosen)):
+                try:
+                    _resolve_steps(PulseProfile(duration, self.pulse_area, self.pulse_shape), None, offsets)
+                except ValueError as exc:
+                    raise ConfigurationError(
+                        f"{name} must be small enough that the {self.pulse_shape} pulses fired take at most "
+                        f"MAX_RK4_STEPS RK4 steps, got pulse_area {self.pulse_area} and pulse_duration_ratio "
+                        f"{self.pulse_duration_ratio} at d = {self.d} ({exc})") from exc
 
 
 def _config_from_sources(args: argparse.Namespace) -> RunConfig:

@@ -56,10 +56,13 @@ Conventions and idealizations:
     which reduces w_j dt mod 2 pi from the exact float product: the frame
     phase exp(+i w_j tau) is its value at dt = -tau, and ``free_evolve_joint``
     reads it at dt (pulse times are refused from tau ~ 1.339e300 on). U and
-    U^dag appear only at the state boundary; the input is never written. ``verify_hybrid_gate`` loads
-    U[:, k0] for the d*d basis states (j0, k0) into one such buffer, fires
-    the schedule run by run, reads the trap row after each run, and reads its
-    process matrix as U^dag e~, the final state evolved back to tau = 0.
+    U^dag appear only at the state boundary; the input is never written.
+  * ``verify_hybrid_gate`` loads U[:, k0] for the d*d basis states (j0, k0) into a pruned frame buffer
+    (d+2, d [j0], d [k0], 2, 2). A basis state only ever populates its own control level j0 and the
+    control ground, so those are its two control rows; the firing loop's sideband table sends the sideband
+    on level j to group j0 = j alone, as (buf[:, j], 0, 1) where ``execute_schedule`` uses (buf, j, d). It
+    fires the schedule run by run, reads the trap row after each run, and reads the j = j0 blocks of its
+    process matrix as U^dag e~, the final state evolved back to tau = 0; the rest is exactly zero.
   * While an amplitude is parked in a ground state it stops accruing band
     phase. With the default two-Kepler-period run the park windows span whole
     Kepler periods, so plain free-evolution compensation is exact run by run;
@@ -225,7 +228,8 @@ def check_gate_time(spectrum: RydbergSpectrum, kepler_periods: float) -> None:
     """A gate's runs each start within a period of the last and span kepler_periods, so its d*d runs end
     before d^2 (kepler_periods + 1) T_K; n_bar is named if even one-period runs pass the limit, and if
     a level frequency w_j, which is split like a time, reaches it through j / T_K (t_rev_ratio or
-    t_sr_ratio if through a larger revival or super-revival term)."""
+    t_sr_ratio if through a larger revival or super-revival term). kepler_periods is also named if a run
+    planned past the last one would round its sideband window below half its width (from ~1.2e15 at d = 3)."""
     with np.errstate(over="ignore", invalid="ignore"):
         largest = [np.max(np.abs(term)) for term in spectrum._taylor_terms()]
         fastest = np.max(np.abs(spectrum.frequency_offsets()))
@@ -236,10 +240,16 @@ def check_gate_time(spectrum: RydbergSpectrum, kepler_periods: float) -> None:
         raise ValueError(f"{name} must be large enough that the level frequencies w_j, about {term}, stay below "
                          f"{_MAX_FREE_TIME:.4g}, got d = {spectrum.d}, {name} = {value}")
     for name, periods in (("n_bar", 1), ("kepler_periods", kepler_periods)):
-        if spectrum.d**2 * (periods + 1) * spectrum.t_kepler >= _MAX_FREE_TIME:
+        if (bound := spectrum.d**2 * (periods + 1) * spectrum.t_kepler) >= _MAX_FREE_TIME:
             raise ValueError(f"{name} must be small enough that d²·(kepler_periods + 1)·T_K, the bound on a gate's "
                              f"pulse times, stays below {_MAX_FREE_TIME:.4g}, got d = {spectrum.d}, "
                              f"n_bar = {spectrum.n_bar}, kepler_periods = {kepler_periods}")
+    # the loop's last bound is kepler_periods' own, past every run: a run planned there rounds its times the most
+    _, t2, _, t4, _ = _plan_run_times(bound, 0, spectrum.d, spectrum.t_kepler, kepler_periods, 0.0)
+    gap = _sideband_gap(spectrum.t_kepler, spectrum.d, kepler_periods)
+    if not t4 - t2 >= gap / 2:
+        raise ValueError(f"kepler_periods must be small enough that a run's sideband window keeps half its width "
+                         f"{gap:.4g} at the gate's times, got d = {spectrum.d}, kepler_periods = {kepler_periods}")
 
 
 def check_gate_qudits(l: int, m: int, q: int) -> None:
@@ -394,13 +404,16 @@ def _pulse_maps(steps: PulseSchedule, t: float, params: TrapParams,
     return maps, float(clock[-1]), frames[-1]
 
 
-def _fire_in_place(buf: np.ndarray, maps: np.ndarray) -> None:
-    """Fire ``_pulse_maps`` entries in order on a C-contiguous frame buffer (d+2, ..., d+1, 2).
+def _fire_in_place(buf: np.ndarray, maps: np.ndarray,
+                   sidebands: list[tuple[np.ndarray, int, int]] | None = None) -> None:
+    """Fire ``_pulse_maps`` entries in order on a C-contiguous frame buffer (d+2, ..., control, 2).
 
     Swap: the pi pulse on (a = c^dag e~, target ground), then the rank-one
     update e~ += c (a' - a) in row blocks of ``_UPDATE_BYTES``. Sideband on
     level j: {|j, 0 phonons>, |ground, 1 phonon>} of the control ion,
-    ContractError if any state holds more than EPS_STATE in |j, 1 phonon>.
+    ContractError if any state holds more than EPS_STATE in |j, 1 phonon>;
+    ``sidebands[j]`` is (view, level row, ground row) of the control axis it
+    acts on, by default (buf, j, d), the full axis of levels 0..d-1 and ground d.
     Auxiliary drive: {|target ground, 1 phonon>, |aux excited, 0 phonons>},
     ContractError likewise for |aux excited, 1 phonon>.
     """
@@ -417,11 +430,17 @@ def _fire_in_place(buf: np.ndarray, maps: np.ndarray) -> None:
             for lo in range(0, d, block):
                 levels[lo : lo + block] += core[lo : lo + block] * delta
         elif kind == _SIDEBAND:
-            _require_within_cap(buf[..., j, 1], 0, f"|level {j}, 1 phonon>", "a sideband pulse")
-            buf[..., j, 0], buf[..., d, 1] = _rotate(m, buf[..., j, 0], buf[..., d, 1])
+            view, row, ground = (buf, j, d) if sidebands is None else sidebands[j]
+            _require_within_cap(view[..., row, 1], 0, f"|level {j}, 1 phonon>", "a sideband pulse")
+            view[..., row, 0], view[..., ground, 1] = _rotate(m, view[..., row, 0], view[..., ground, 1])
         else:
             _require_within_cap(buf[d + 1][..., 1], -1, "|aux excited, 1 phonon>", "the auxiliary drive")
             buf[d][..., 1], buf[d + 1][..., 0] = _rotate(m, buf[d][..., 1], buf[d + 1][..., 0])
+
+
+def _sideband_gap(t_kepler: float, d: int, kepler_periods: float) -> float:
+    """The planned window between a run's sideband pulses: one period, or one slot time for single-period runs."""
+    return t_kepler if kepler_periods >= 2 else t_kepler / d
 
 
 def _plan_run_times(t_min: float, packet_slot: int, d: int, t_kepler: float, kepler_periods: float,
@@ -434,13 +453,12 @@ def _plan_run_times(t_min: float, packet_slot: int, d: int, t_kepler: float, kep
     full period (one slot time for single-period runs) so the park-window
     phase deficits telescope away.
     """
-    slot_time = t_kepler / d
-    align = ((-packet_slot) % d) * slot_time
+    align = ((-packet_slot) % d) * (t_kepler / d)
     base = t_ref + align
     n = math.ceil((t_min - base) / t_kepler - 1e-12)
     t1 = base + n * t_kepler
     total = kepler_periods * t_kepler
-    gap = t_kepler if kepler_periods >= 2 else slot_time
+    gap = _sideband_gap(t_kepler, d, kepler_periods)
     t2 = t1 + (total - gap) / 2.0
     t4 = t2 + gap
     t3 = (t2 + t4) / 2.0
@@ -524,23 +542,24 @@ def _realized_process(steps: PulseSchedule, params: TrapParams,
     """(process matrix, worst trap population after any run, total duration) of a gate schedule.
 
     Column j0*d + k0 of the (d*d, d*d) matrix is the (level, packet) block that
-    hybrid basis state (j0, k0) ends in, evolved back to t = 0.
+    hybrid basis state (j0, k0) ends in, evolved back to t = 0, fired on the pruned stack of the module notes.
     """
     d = spectrum.d
     maps, t, _ = _pulse_maps(steps, 0.0, params, spectrum)
     u, u_dag = _packet_matrices(d)
-    # stack index j0*d + k0 holds basis state (j0, k0): packet k0 is the level column U[:, k0]
-    col = np.arange(d * d)
-    buf = np.zeros((d + 2, d * d, d + 1, 2), dtype=np.complex128)
-    buf[:d, col, col // d, 0] = u[:, col % d]
+    buf = np.zeros((d + 2, d, d, 2, 2), dtype=np.complex128)
+    buf[:d, :, :, 0, 0] = u[:, None, :]  # packet k0 is the level column U[:, k0]; control rows (level j0, ground)
+    sidebands = [(buf[:, j], 0, 1) for j in range(d)]
     residual_max = 0.0
     for start in range(0, len(maps), 5):
-        _fire_in_place(buf, maps[start : start + 5])
-        trapped = np.abs(buf[..., 1])  # [target, state, control]
+        _fire_in_place(buf, maps[start : start + 5], sidebands)
+        trapped = np.abs(buf[..., 1])  # [target, j0, k0, control]
         trapped *= trapped
         residual_max = max(residual_max, float(trapped.sum(axis=0).sum(axis=-1).max()))
-    packets = u_dag @ buf[:d, :, :d, 0].reshape(d, -1)  # [packet k, column, level j]
-    return packets.reshape(d, d * d, d).transpose(2, 0, 1).reshape(d * d, d * d), residual_max, t
+    packets = u_dag @ buf[:d, :, :, 0, 0].reshape(d, -1)  # [packet k, column j0*d + k0]
+    matrix = np.zeros((d, d, d, d), dtype=np.complex128)  # [j, k, j0, k0]
+    matrix[range(d), :, range(d)] = packets.reshape(d, d, d).transpose(1, 0, 2)
+    return matrix.reshape(d * d, d * d), residual_max, t
 
 
 def verify_hybrid_gate(shape: RegisterShape, l: int, m: int, params: TrapParams, spectrum: RydbergSpectrum,
@@ -548,7 +567,7 @@ def verify_hybrid_gate(shape: RegisterShape, l: int, m: int, params: TrapParams,
     """Simulate the composed d*d-run gate on every hybrid basis state.
 
     All d*d basis states (control level j0, target packet k0) go through the
-    full pulse schedule together as one (d*d, d+1, d+2, 2) stack in the
+    full pulse schedule together as one pruned stack (module notes) in the
     interaction frame, whose final state is the state with its free-evolution
     phases removed; the resulting matrix is compared to the diagonal target
     exp(i phi[j, k]). The schedule is the one :func:`build_phase_gate_schedule`
@@ -556,8 +575,8 @@ def verify_hybrid_gate(shape: RegisterShape, l: int, m: int, params: TrapParams,
     fidelity |Tr(target^dag M)|^2 / d^4 (global-phase invariant), per-branch
     phase errors after removing the common phase, and the worst trap
     population left behind by any single run on any single basis state.
-    Raises ``ValueError`` before allocating when the stack's
-    d*d*(d+1)*(d+2)*2 amplitudes exceed the register cap.
+    Raises ``ValueError`` before allocating when the d*d*(d+1)*(d+2)*2
+    amplitudes of the unpruned stack exceed the register cap.
 
     On ideal runs ``trap_residual_max`` is 4 d^2 cos^2(pi/2) (6.0e-32 at d=2): the rounding
     of cos(pi/2) = 6.1e-17 in the pi pulses, not physics, for every truncation and period count.

@@ -293,6 +293,35 @@ def test_revival_term_overflowing_the_frequencies_exits_two_naming_its_ratio(tmp
         assert f"{field} = 5e-324" in err
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"kepler_periods": 1e30}, "kepler_periods"), ({"kepler_periods": 1e155}, "kepler_periods"),
+    ({"kepler_periods": 2**62}, "kepler_periods"),
+    ({"pulse_shape": "gaussian", "pulse_duration_ratio": 1e6}, "pulse_duration_ratio"),
+    ({"pulse_shape": "gaussian", "pulse_area": 1e6}, "pulse_area"),
+])
+def test_rounded_sideband_window_and_rk4_step_cap_exit_two_naming_the_field(tmp_path, capsys, config, field):
+    # a period count at which the sideband pulses round onto one time, and a gaussian pulse past MAX_RK4_STEPS
+    # (200000100 and 31831189 steps), are refused before any mode runs, each naming the field that sets it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for mode in MODES:
+        code, out, err = run_cli(capsys, "--mode", mode, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be small enough")
+
+
+def test_long_runs_below_the_window_bound_still_run(tmp_path, capsys):
+    # 1e10 periods keep the sideband window but round the dialed phases, so the gate runs and fails
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "iontrap", "kepler_periods": 1e10}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "--config", str(cfg))
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
 def test_huge_multiplicity_runs_to_a_failed_gate(tmp_path, capsys):
     # a 2^62-cycle drive would run to a gate failed on rounding alone: past 2^32 the dialed phase carries
     # more rounding than the gate's tolerance allows, so the config is refused before any schedule is built

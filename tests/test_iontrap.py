@@ -519,16 +519,16 @@ def test_verify_hybrid_gate_reads_the_trap_after_every_run(monkeypatch):
     assert_allclose(report.trap_residual_max, max(residuals), rtol=0, atol=1e-13)
 
     real, seen, parked = iontrap_module._fire_in_place, [], []
-    where = (d, 0, 0, 1)  # target ground, stack state 0, control level 0, one phonon
+    where = (d, 0, 0, 0, 1)  # pruned (target, j0, k0, control row, phonon): ground, state (0, 0), its level, 1 phonon
 
-    def fire_and_park(buf, maps):
+    def fire_and_park(buf, maps, sidebands):
         if parked:
             buf[where] = parked.pop()
-        real(buf, maps)
+        real(buf, maps, sidebands)
         if len(seen) == 1:
             parked.append(buf[where])
             buf[where] = 1e-4
-        seen.append(float(trap_excited_population(JointIonState(d, np.moveaxis(buf, 0, -2))).max()))
+        seen.append(float((np.abs(buf[..., 1]) ** 2).sum(axis=(0, -1)).max()))
 
     monkeypatch.setattr(iontrap_module, "_fire_in_place", fire_and_park)
     parked_report = verify_hybrid_gate(RegisterShape(d, 2), 0, 1, params, spectrum)
@@ -537,6 +537,57 @@ def test_verify_hybrid_gate_reads_the_trap_after_every_run(monkeypatch):
     assert_allclose(parked_report.trap_residual_max, 1e-8, rtol=1e-12)
     assert parked_report.trap_residual_max == max(seen)
     assert parked_report.fidelity == report.fidelity
+
+
+def full_stack_process(steps, params, spectrum):
+    """Oracle of ``_realized_process``: every basis state on the whole control axis, as the trap layer fired
+    them before the stack was pruned. Stack index j0*d + k0 of one (d+2, d*d, d+1, 2) frame buffer holds basis
+    state (j0, k0), fired run by run through ``_fire_in_place`` with its single-axis sideband table."""
+    d = spectrum.d
+    maps, t, _ = iontrap_module._pulse_maps(steps, 0.0, params, spectrum)
+    u, u_dag = iontrap_module._packet_matrices(d)
+    col = np.arange(d * d)
+    buf = np.zeros((d + 2, d * d, d + 1, 2), dtype=np.complex128)
+    buf[:d, col, col // d, 0] = u[:, col % d]
+    residual_max = 0.0
+    for start in range(0, len(maps), 5):
+        iontrap_module._fire_in_place(buf, maps[start : start + 5])
+        trapped = np.abs(buf[..., 1]) ** 2  # [target, state, control]
+        residual_max = max(residual_max, float(trapped.sum(axis=0).sum(axis=-1).max()))
+    packets = u_dag @ buf[:d, :, :d, 0].reshape(d, -1)  # [packet k, column, level j]
+    return packets.reshape(d, d * d, d).transpose(2, 0, 1).reshape(d * d, d * d), residual_max, t
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("truncation", ["kepler", "revival"])
+def test_pruned_stack_is_the_full_stack(monkeypatch, d, truncation):
+    # a basis state only ever populates its own control level and the control ground, so the pruned stack
+    # fires the same arithmetic on every amplitude the full stack holds above rounding: every report field
+    # and the whole j = j0 blocks of the process are bit-equal. Off those blocks the full stack holds only
+    # second-order rounding of cos(pi/2) (up to 2.7e-30 with two-cycle drives at d = 8), the pruned one
+    # exact zeros; and trap_residual_max, a sum of such rounding, moves by under 4e-15 relative
+    spectrum = RydbergSpectrum(5, d)
+    if truncation == "revival":
+        spectrum = RydbergSpectrum(5, d, t_rev=20.0 * spectrum.t_kepler, truncation="revival")
+    shape, params = RegisterShape(d, 2), TrapParams()
+    block = np.kron(np.eye(d), np.ones((d, d))) == 1
+    for kepler_periods, multiplicity in itertools.product((1, 2, 3), (1, 2)):
+        options = dict(multiplicity=multiplicity, kepler_periods=kepler_periods)
+        steps = build_phase_gate_schedule(0, 1, shape, params, spectrum, **options)
+        matrix, residual, duration = iontrap_module._realized_process(steps, params, spectrum)
+        full_matrix, full_residual, full_duration = full_stack_process(steps, params, spectrum)
+        report = verify_hybrid_gate(shape, 0, 1, params, spectrum, **options)
+        with monkeypatch.context() as patch:
+            patch.setattr(iontrap_module, "_realized_process", lambda *_: (full_matrix, full_residual, full_duration))
+            want = verify_hybrid_gate(shape, 0, 1, params, spectrum, **options)
+        assert report == dataclasses.replace(want, trap_residual_max=report.trap_residual_max)
+        assert report.trap_residual_max == residual
+        assert_allclose(residual, full_residual, rtol=1e-14, atol=0)
+        assert duration == full_duration
+        assert np.array_equal(np.diag(matrix), np.diag(full_matrix))
+        assert np.array_equal(matrix[block], full_matrix[block])
+        assert not matrix[~block].any()
+        assert np.abs(full_matrix[~block]).max() <= 1e-29
 
 
 def test_build_phase_gate_schedule_covers_all_runs():
@@ -1172,3 +1223,26 @@ def test_gate_time_names_the_largest_taylor_term_and_n_bar_on_a_tie():
         iontrap_module.check_gate_time(RydbergSpectrum(n_bar, 3, t_rev=5e-324, truncation="revival"), 2)
     with pytest.raises(ValueError, match="^t_sr_ratio must be large enough"):
         iontrap_module.check_gate_time(RydbergSpectrum(5, 3, t_rev=1.0, t_sr=5e-324, truncation="super-revival"), 2)
+
+
+@pytest.mark.parametrize("d", [3, 6, 24])
+def test_kepler_periods_is_refused_once_the_sideband_window_rounds_away(d):
+    # the largest accepted whole period count still plans every sideband window within half its width (the
+    # planner's times round to the float grid of d²·(kepler_periods + 1)·T_K), and the next count is refused
+    spectrum, params = RydbergSpectrum(5, d), TrapParams()
+    lo, hi = 2, 2**62  # accepted, refused
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            iontrap_module.check_gate_time(spectrum, float(mid))
+            lo = mid
+        except ValueError as error:
+            assert str(error).startswith("kepler_periods must be small enough that a run's sideband window")
+            hi = mid
+    assert 1e13 < lo < 1e16
+    gap = spectrum.t_kepler
+    steps = build_phase_gate_schedule(0, 1, RegisterShape(d, 2), params, spectrum, kepler_periods=float(lo))
+    windows = steps.times[3::5] - steps.times[1::5]
+    assert gap / 2 <= windows.min() and windows.max() <= 1.5 * gap
+    with pytest.raises(ValueError, match="^kepler_periods must be small enough that a run's sideband window"):
+        iontrap_module.check_gate_time(spectrum, float(hi))
